@@ -95,10 +95,6 @@ class SubgraphCover:
     def subgraphs_containing(self, v: int) -> tuple[int, ...]:
         return self._node_subgraphs[v]
 
-    def induced_edges(self, i: int) -> tuple[tuple[int, int], ...]:
-        vs = self._vsets[i]
-        return tuple(e for e in self.graph.edges if e[0] in vs and e[1] in vs)
-
     @property
     def s_order(self) -> tuple[int, ...]:
         """All observable nodes, sorted; the coordinate order of R^|S|."""
@@ -115,10 +111,6 @@ class NerveSkeleton:
 
     t: int
     edges: tuple[tuple[int, int], ...]
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [v if u == i else u for (u, v) in self.edges if i in (u, v)]
-        return tuple(sorted(out))
 
     def is_connected(self) -> bool:
         if self.t <= 1:

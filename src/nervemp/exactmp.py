@@ -18,7 +18,7 @@ import numpy as np
 
 from .cover import DirectedTree, EdgePartition, SubgraphCover, compute_partitions
 from .errors import MissingVariable, NonUniqueArgmin, UnboundedBelow
-from .quadform import RANK_RCOND, ArgminMap, QuadFunc
+from .quadform import ArgminMap, QuadFunc, quad_sum
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,14 @@ class EdgeRecord:
     edge: tuple[int, int]
     partition: EdgePartition
     argmin: ArgminMap
-    yy_min_eig: float
-    singular: bool
+
+    @property
+    def yy_min_eig(self) -> float:
+        return self.argmin.min_eig
+
+    @property
+    def singular(self) -> bool:
+        return self.argmin.singular
 
 
 @dataclass(frozen=True)
@@ -50,16 +56,6 @@ def _fix_observations(q: QuadFunc, obs: Mapping, nodes) -> QuadFunc:
     return q.fix_vars(fixed) if fixed else q
 
 
-def _yy_block_stats(h: QuadFunc, y_vars) -> tuple[float, bool]:
-    yi = [h.vars.index(v) for v in y_vars if v in h.vars]
-    if not yi:
-        return float("inf"), False
-    w = np.linalg.eigvalsh(h.A[np.ix_(yi, yi)])
-    sigma_max = max(abs(w[0]), abs(w[-1]))
-    singular = bool(w[0] <= RANK_RCOND * sigma_max)
-    return float(w[0]), singular
-
-
 def run_message_passing(
     cover: SubgraphCover,
     quads: Sequence[QuadFunc],
@@ -76,27 +72,22 @@ def run_message_passing(
     records: dict[tuple[int, int], EdgeRecord] = {}
     aggregated = None
     for i in dtree.postorder():
-        h = _fix_observations(quads[i], observations, cover.observables[i])
-        for c in dtree.children[i]:
-            h = h + messages[c]
+        own = _fix_observations(quads[i], observations, cover.observables[i])
+        h = quad_sum([own] + [messages[c] for c in dtree.children[i]])
         if i == dtree.root:
             aggregated = h
             messages[i] = h
             continue
         j = dtree.parent[i]
         part = partitions[(i, j)]
-        y_present = [v for v in part.y_vars if v in h.vars]
-        min_eig, singular = _yy_block_stats(h, y_present)
         try:
-            msg, amap = h.partial_minimize(y_present)
+            msg, amap = h.partial_minimize(v for v in part.y_vars if v in h.vars)
         except UnboundedBelow as exc:
             raise UnboundedBelow(
                 f"message along edge ({i} -> {j}) is unbounded below", edge=(i, j)
             ) from exc
         messages[i] = msg
-        records[(i, j)] = EdgeRecord(
-            edge=(i, j), partition=part, argmin=amap, yy_min_eig=min_eig, singular=singular
-        )
+        records[(i, j)] = EdgeRecord(edge=(i, j), partition=part, argmin=amap)
     assert len(records) == len(dtree.edges), "one message must cross each tree edge"
     surviving = tuple(v for v in aggregated.vars if v not in cover.node_set(dtree.root))
     report = {"root": dtree.root, "surviving_foreign_vars": surviving}
@@ -169,9 +160,7 @@ def centralized_solve(
     Returns (value, full minimizer over V, kernel basis embedded over V with
     zero rows at the observable nodes).
     """
-    total = QuadFunc.zero(cover.graph.nodes)
-    for q in quads:
-        total = total + q.embed(cover.graph.nodes)
+    total = quad_sum(quads, cover.graph.nodes)
     s_nodes = cover.s_order
     for v in s_nodes:
         if v not in observations:

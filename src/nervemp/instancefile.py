@@ -8,6 +8,7 @@ Quadratic matrices are stored as sparse upper-triangle triplets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +60,10 @@ def _quad_from_payload(payload: dict, index: int) -> QuadFunc:
     b = np.array(payload["b"], dtype=float)
     if b.shape != (n,):
         raise InvalidInstance(f"quadratic {index}: b has length {b.shape[0]}, expected {n}")
-    return QuadFunc(variables, A, b, float(payload["c"]))
+    try:
+        return QuadFunc(variables, A, b, float(payload["c"]))
+    except ValueError as exc:
+        raise InvalidInstance(f"quadratic {index}: {exc}") from exc
 
 
 def to_payload(instance: Instance) -> dict:
@@ -122,7 +126,13 @@ def from_payload(payload: dict) -> Instance:
                     raise InvalidInstance(
                         f"task matrix has shape {L.shape}, expected (*, {n})"
                     )
-                task = TaskSpec(kind="linear", L=L, d=np.array(tp["d"], dtype=float))
+                d = np.array(tp["d"], dtype=float)
+                for name, values in (("matrix", L), ("offset", d)):
+                    bad = np.argwhere(~np.isfinite(values))
+                    if bad.size:
+                        where = tuple(bad[0].tolist())
+                        raise InvalidInstance(f"task {name} entry {where} is not finite")
+                task = TaskSpec(kind="linear", L=L, d=d)
             elif tp["kind"] == "objective_value":
                 task = TaskSpec(kind="objective_value")
             else:
@@ -135,7 +145,10 @@ def from_payload(payload: dict) -> Instance:
         for k, (v, val) in enumerate(payload["observations"]):
             if not (0 <= v < n):
                 raise InvalidInstance(f"observation {k} names undeclared node {v}")
-            observations[int(v)] = float(val)
+            val = float(val)
+            if not math.isfinite(val):
+                raise InvalidInstance(f"observation {k} at node {v} is not finite: {val!r}")
+            observations[int(v)] = val
     return Instance(cover=cover, quads=tuple(quads), task=task, observations=observations)
 
 

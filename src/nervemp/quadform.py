@@ -10,8 +10,17 @@ generalized Schur complement
     A~ = A_xx - A_xy A_yy+ A_yx,  b~ = b_x - A_xy A_yy+ b_y,
     c~ = c - b_y' A_yy+ b_y / 4,
 
-where A_yy+ is the pseudoinverse with singular values below
-RANK_RCOND * sigma_max treated as zero.
+where A_yy+ is the pseudoinverse with eigenvalues within
+RANK_RCOND * sigma_max of zero treated as zero.
+
+Two routines carry the algebra of the whole package.  `quad_sum` assembles
+a sum of quadratics by one scatter-add (`embed` and `add` are its one- and
+two-term cases).  `_eliminate`, behind `partial_minimize` and
+`global_minimize`, does one `eigh` of the eliminated block for its
+pseudoinverse, smallest eigenvalue, singular flag and kernel, and for the
+unboundedness test.  It owns the elimination tolerances RANK_RCOND and
+UNBOUNDED_TOL; SYM_TOL and PSD_TOL bound what a constructed quadratic may
+carry.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from .errors import (
 # Construction tolerances (absolute asymmetry bound, relative PSD slack).
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
-# Pseudoinverse rank cutoff, relative to the largest singular value.
+# Pseudoinverse, kernel and singular-flag cutoff, relative to the largest
+# eigenvalue magnitude of the eliminated block.
 RANK_RCOND = 1e-10
 # Kernel component of b larger than this (relative to 1 + |b|) means -inf.
 UNBOUNDED_TOL = 1e-8
@@ -46,12 +56,17 @@ class ArgminMap:
     """Affine minimizer map y*(x) = M x + m for the eliminated block.
 
     `inputs` are the retained variables, `eliminated` the minimized ones.
+    `min_eig` is the smallest eigenvalue of the eliminated block and
+    `singular` says it lies within RANK_RCOND * sigma_max of zero, so the
+    minimizer is not unique (M and m then give the minimum-norm one).
     """
 
     eliminated: tuple
     inputs: tuple
     M: np.ndarray
     m: np.ndarray
+    min_eig: float = float("inf")
+    singular: bool = False
 
     def apply(self, assignment: Mapping) -> dict:
         x = np.array([float(assignment[v]) for v in self.inputs])
@@ -71,6 +86,9 @@ class QuadFunc:
         n = len(variables)
         A = np.asarray(A, dtype=float).reshape(n, n)
         b = np.asarray(b, dtype=float).reshape(n)
+        c = float(c)
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c)):
+            raise ValueError("A, b and c must be finite")
         if n and np.max(np.abs(A - A.T)) > SYM_TOL:
             raise ValueError("A is asymmetric beyond tolerance")
         A = _sym(A)
@@ -82,7 +100,7 @@ class QuadFunc:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(c))
+        object.__setattr__(self, "c", c)
 
     def __setattr__(self, name, value):  # value semantics: immutable
         raise AttributeError("QuadFunc is immutable")
@@ -92,15 +110,7 @@ class QuadFunc:
 
     @classmethod
     def zero(cls, variables: Iterable = ()) -> "QuadFunc":
-        variables = tuple(variables)
-        n = len(variables)
-        return cls(variables, np.zeros((n, n)), np.zeros(n), 0.0)
-
-    def index_of(self, v) -> int:
-        try:
-            return self.vars.index(v)
-        except ValueError:
-            raise UnknownVariable(f"variable {v!r} not in {self.vars}") from None
+        return quad_sum((), variables)
 
     def evaluate(self, assignment) -> float:
         x = np.asarray(assignment, dtype=float).reshape(-1)
@@ -122,26 +132,10 @@ class QuadFunc:
         return 2.0 * np.asarray(X, dtype=float) @ self.A + self.b
 
     def embed(self, superset: Iterable) -> "QuadFunc":
-        superset = tuple(superset)
-        pos = {v: i for i, v in enumerate(superset)}
-        missing = [v for v in self.vars if v not in pos]
-        if missing:
-            raise MissingVariable(f"variables {missing} not in superset {superset}")
-        idx = [pos[v] for v in self.vars]
-        n = len(superset)
-        A = np.zeros((n, n))
-        b = np.zeros(n)
-        A[np.ix_(idx, idx)] = self.A
-        b[idx] = self.b
-        return QuadFunc(superset, A, b, self.c)
+        return quad_sum([self], superset)
 
     def add(self, other: "QuadFunc") -> "QuadFunc":
-        if other.vars == self.vars:
-            return QuadFunc(self.vars, self.A + other.A, self.b + other.b, self.c + other.c)
-        union = tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self.embed(union)
-        b = other.embed(union)
-        return QuadFunc(union, a.A + b.A, a.b + b.b, a.c + b.c)
+        return quad_sum([self, other])
 
     def __add__(self, other):
         return self.add(other)
@@ -178,19 +172,14 @@ class QuadFunc:
         A_yy = self.A[np.ix_(yi, yi)]
         b_x = self.b[xi]
         b_y = self.b[yi]
-        P = np.linalg.pinv(A_yy, rcond=RANK_RCOND, hermitian=True)
-        resid = b_y - A_yy @ (P @ b_y)
-        if np.linalg.norm(resid) > UNBOUNDED_TOL * (1.0 + np.linalg.norm(self.b)):
-            raise UnboundedBelow(
-                "partial minimum is -inf: the linear term has a component in the "
-                "kernel of the eliminated block"
-            )
+        P, _, min_eig, singular = _eliminate(A_yy, b_y, np.linalg.norm(self.b))
         A_new = _sym(A_xx - A_xy @ P @ A_xy.T)
         b_new = b_x - A_xy @ (P @ b_y)
         c_new = float(self.c - 0.25 * b_y @ P @ b_y)
         M = -P @ A_xy.T
         m = -0.5 * P @ b_y
-        return QuadFunc(keep, A_new, b_new, c_new), ArgminMap(ys, keep, M, m)
+        amap = ArgminMap(ys, keep, M, m, min_eig, singular)
+        return QuadFunc(keep, A_new, b_new, c_new), amap
 
     def global_minimize(self) -> tuple[float, np.ndarray, np.ndarray]:
         """Minimum value, minimum-norm minimizer, and kernel basis of A.
@@ -201,16 +190,62 @@ class QuadFunc:
         n = len(self.vars)
         if n == 0:
             return self.c, np.zeros(0), np.zeros((0, 0))
-        P = np.linalg.pinv(self.A, rcond=RANK_RCOND, hermitian=True)
-        resid = self.b - self.A @ (P @ self.b)
-        if np.linalg.norm(resid) > UNBOUNDED_TOL * (1.0 + np.linalg.norm(self.b)):
-            raise UnboundedBelow("minimum is -inf along a kernel direction")
+        P, kernel, _, _ = _eliminate(self.A, self.b, np.linalg.norm(self.b))
         minimizer = -0.5 * P @ self.b
         value = float(self.c - 0.25 * self.b @ P @ self.b)
-        w, V = np.linalg.eigh(self.A)
-        sigma_max = max(abs(w[0]), abs(w[-1]))
-        kernel = V[:, np.abs(w) <= RANK_RCOND * sigma_max] if sigma_max > 0 else V
         return value, minimizer, kernel
+
+
+def _eliminate(A_yy: np.ndarray, b_y: np.ndarray, b_norm: float):
+    """The elimination kernel: one eigendecomposition of the block A_yy.
+
+    Returns (P, kernel, min_eig, singular).  Eigenvalues within
+    RANK_RCOND * sigma_max of zero span the kernel and are dropped from the
+    pseudoinverse P.  Raises UnboundedBelow when b_y has a kernel component
+    larger than UNBOUNDED_TOL * (1 + b_norm), b_norm being the norm of the
+    whole linear term.
+    """
+    w, V = np.linalg.eigh(A_yy)
+    cutoff = RANK_RCOND * max(abs(w[0]), abs(w[-1]))
+    live = np.abs(w) > cutoff
+    kernel = V[:, ~live]
+    if np.linalg.norm(kernel.T @ b_y) > UNBOUNDED_TOL * (1.0 + b_norm):
+        raise UnboundedBelow(
+            "minimum is -inf: the linear term has a component in the kernel "
+            "of the eliminated block"
+        )
+    # Scaling V in one temporary keeps the peak at three blocks: V, V / w, P.
+    P = (V * np.divide(1.0, w, out=np.zeros_like(w), where=live)) @ V.T
+    return P, kernel, float(w[0]), bool(w[0] <= cutoff)
+
+
+def quad_sum(terms: Iterable[QuadFunc], variables: Iterable | None = None) -> QuadFunc:
+    """Sum of quadratics, assembled by one scatter-add.
+
+    The sum is over `variables` when given, and every term's variables must
+    lie in it.  Otherwise it is over the terms' common variable tuple when
+    they all share one, else over the sorted union.  Terms are added in
+    order onto zeros, so the result equals the chained `add` of the terms.
+    """
+    terms = tuple(terms)
+    if variables is None:
+        orders = {q.vars for q in terms}
+        variables = orders.pop() if len(orders) == 1 else tuple(sorted(set().union(*orders)))
+    variables = tuple(variables)
+    pos = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    c = 0.0
+    for q in terms:
+        missing = [v for v in q.vars if v not in pos]
+        if missing:
+            raise MissingVariable(f"variables {missing} not in superset {variables}")
+        idx = [pos[v] for v in q.vars]
+        A[np.ix_(idx, idx)] += q.A
+        b[idx] += q.b
+        c += q.c
+    return QuadFunc(variables, A, b, c)
 
 
 def subspace_distance_quad(vectors: Sequence, variables: Iterable) -> QuadFunc:

@@ -2,10 +2,10 @@
 
 A task is either a linear map tau(x) = Lx + d on full signals or the scalar
 objective value.  For linear tasks on quadratic objectives the global
-problem s -> tau(xhat(s)) is affine and is recovered exactly by columnwise
-parametric solves.  The jet analysis works at order 2, which determines a
-quadratic message completely, and estimates the generic rank of the
-coefficient map s -> (A, b, c) of a leaf's message.
+problem s -> tau(xhat(s)) is affine and is read off the argmin map of one
+partial minimization over the unobserved nodes.  The jet analysis works at
+order 2, which determines a quadratic message completely, and estimates the
+generic rank of the coefficient map s -> (A, b, c) of a leaf's message.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cover import SpanningTree, SubgraphCover, compute_partitions, direct_tree
-from .errors import IllDefinedTask, UnboundedBelow
-from .exactmp import centralized_solve, local_solve, run_message_passing
-from .quadform import QuadFunc
+from .errors import IllDefinedTask
+from .exactmp import _fix_observations, centralized_solve, local_solve, run_message_passing
+from .quadform import QuadFunc, quad_sum
 
 JET_SAMPLES = 32
 JET_FD_STEP = 1e-3
@@ -97,34 +97,6 @@ class JetProfile:
     s_order: tuple[int, ...]
 
 
-def _total_quad(cover: SubgraphCover, quads: Sequence[QuadFunc]) -> QuadFunc:
-    total = QuadFunc.zero(cover.graph.nodes)
-    for q in quads:
-        total = total + q.embed(cover.graph.nodes)
-    return total
-
-
-def _free_kernel(cover: SubgraphCover, quads: Sequence[QuadFunc]):
-    """Kernel of the constrained minimizer set, constant across s."""
-    total = _total_quad(cover, quads)
-    s_nodes = set(cover.s_order)
-    free = [v for v in cover.graph.nodes if v not in s_nodes]
-    fi = [total.vars.index(v) for v in free]
-    A_ff = total.A[np.ix_(fi, fi)]
-    b_f = total.b[fi]
-    P = np.linalg.pinv(A_ff, rcond=1e-10, hermitian=True) if free else np.zeros((0, 0))
-    if free:
-        resid = b_f - A_ff @ (P @ b_f)
-        if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(total.b)):
-            raise UnboundedBelow("constrained problem is unbounded below")
-        w, V = np.linalg.eigh(A_ff)
-        sigma_max = max(abs(w[0]), abs(w[-1]))
-        kernel = V[:, np.abs(w) <= 1e-10 * sigma_max] if sigma_max > 0 else V
-    else:
-        kernel = np.zeros((0, 0))
-    return free, kernel
-
-
 def task_welldefined(
     cover: SubgraphCover, quads: Sequence[QuadFunc], task: TaskSpec
 ) -> tuple[bool, np.ndarray | None]:
@@ -135,27 +107,28 @@ def task_welldefined(
     """
     if task.kind == "objective_value":
         return True, None
-    free, kernel = _free_kernel(cover, quads)
+    # The kernel of the constrained problem does not depend on s; it is
+    # embedded over V with zero rows at the observable nodes.
+    _, _, kernel = centralized_solve(cover, quads, {v: 0.0 for v in cover.s_order})
     if kernel.shape[1] == 0:
         return True, None
-    L_f = task.L[:, free]
-    image = L_f @ kernel
+    image = task.L @ kernel
     worst = float(np.max(np.abs(image))) if image.size else 0.0
     if worst <= 1e-8:
         return True, None
     col = int(np.argmax(np.max(np.abs(image), axis=0)))
-    certificate = np.zeros(cover.graph.n)
-    certificate[free] = kernel[:, col]
-    return False, certificate
+    return False, kernel[:, col]
 
 
 def global_problem_map(
     cover: SubgraphCover, quads: Sequence[QuadFunc], task: TaskSpec
 ) -> GlobalProblemMap:
-    """Recover the affine map s -> tau(xhat(s)) columnwise.
+    """Recover the affine map s -> tau(xhat(s)) in closed form.
 
-    Solves the constrained problem at s = 0 and at each unit observation
-    vector; only linear tasks admit the affine representation.
+    One partial minimization of the assembled objective over the unobserved
+    nodes gives the argmin map xhat_free(s) = M s + m, so tau(xhat(s)) =
+    (L_S + L_free M) s + L_free m + d.  Only linear tasks admit the affine
+    representation.
     """
     if task.kind != "linear":
         raise ValueError("the objective task's global problem is quadratic in s; "
@@ -163,18 +136,13 @@ def global_problem_map(
     ok, _ = task_welldefined(cover, quads, task)
     if not ok:
         raise IllDefinedTask("task is not constant on the minimizer set")
-    s_order = cover.s_order
-    zero_obs = {v: 0.0 for v in s_order}
-    _, x0, _ = centralized_solve(cover, quads, zero_obs)
-    columns = np.zeros((cover.graph.n, len(s_order)))
-    for k, v in enumerate(s_order):
-        obs = dict(zero_obs)
-        obs[v] = 1.0
-        _, xk, _ = centralized_solve(cover, quads, obs)
-        columns[:, k] = xk - x0
-    matrix = task.L @ columns
-    offset = task.L @ x0 + task.d
-    return GlobalProblemMap(s_order=s_order, matrix=matrix, offset=offset)
+    free = set(cover.graph.nodes) - cover.observable_set
+    _, amap = quad_sum(quads, cover.graph.nodes).partial_minimize(free)
+    # amap.inputs are the observable nodes in node order, i.e. s_order.
+    L_free = task.L[:, list(amap.eliminated)]
+    matrix = task.L[:, list(amap.inputs)] + L_free @ amap.M
+    offset = L_free @ amap.m + task.d
+    return GlobalProblemMap(s_order=cover.s_order, matrix=matrix, offset=offset)
 
 
 def _leaf_message_coeffs(cover, quads, dtree, leaf, partition):
@@ -182,9 +150,7 @@ def _leaf_message_coeffs(cover, quads, dtree, leaf, partition):
 
     def evaluator(s_vec: np.ndarray) -> np.ndarray:
         obs = dict(zip(cover.s_order, np.asarray(s_vec, dtype=float).tolist()))
-        q = quads[leaf]
-        fixed = {v: obs[v] for v in cover.observables[leaf] if v in q.vars}
-        h = q.fix_vars(fixed) if fixed else q
+        h = _fix_observations(quads[leaf], obs, cover.observables[leaf])
         y_present = [v for v in partition.y_vars if v in h.vars]
         msg, _ = h.partial_minimize(y_present)
         return np.concatenate([msg.A.reshape(-1), msg.b, [msg.c]])
@@ -378,9 +344,6 @@ def direct_solubility_test(
             if abs(local_val - central_val) > 1e-8 * max(1.0, abs(central_val)):
                 return False
         return True
-    ok, _ = task_welldefined(cover, quads, task)
-    if not ok:
-        raise IllDefinedTask("task is not constant on the minimizer set")
     gpm = global_problem_map(cover, quads, task)
     M = _local_affine_map(cover, quads, dtree)
     phi = np.concatenate([gpm.matrix, gpm.offset[:, None]], axis=1)

@@ -18,11 +18,12 @@ from .cover import DirectedTree, SubgraphCover, compute_partitions
 from .errors import (
     DimensionMismatch,
     InnerOptimizationFailed,
+    InvalidInstance,
     SingularFit,
     UnboundedBelow,
 )
 from .exactmp import _fix_observations
-from .quadform import QuadFunc
+from .quadform import QuadFunc, quad_sum
 
 # Stream tags for deriving independent per-edge generators from one seed.
 _TAG_SAMPLE = 1
@@ -85,17 +86,27 @@ class SampleSet:
 
     @classmethod
     def from_wire(cls, text: str) -> "SampleSet":
-        lines = [ln for ln in text.splitlines() if ln]
-        e = tuple(int(t) for t in lines[0].removeprefix("edge:").split(","))
-        vars_part = lines[1].removeprefix("vars:")
-        variables = tuple(int(t) for t in vars_part.split(",")) if vars_part else ()
-        box_part = lines[2].removeprefix("box:")
-        box = tuple(
-            tuple(float(t) for t in chunk.split(","))
-            for chunk in box_part.split(";")
-            if chunk
-        )
-        rows = [tuple(float(t) for t in ln.split(",")) for ln in lines[3:]]
+        """Parse `to_wire` text; InvalidInstance names the first bad line."""
+        numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln]
+
+        def parse(h, prefix, conv, width=None):
+            k, line = numbered[h] if h < len(numbered) else (h + 1, "")
+            if not line.startswith(prefix):
+                raise InvalidInstance(f"sample wire line {k}: expected the {prefix!r} header")
+            field = line.removeprefix(prefix).replace(";", ",")
+            try:
+                values = tuple(conv(t) for t in field.split(",")) if field else ()
+                if width is not None and len(values) != width:
+                    raise ValueError(f"{len(values)} values, expected {width}")
+            except ValueError as exc:
+                raise InvalidInstance(f"sample wire line {k}: {line!r}: {exc}") from None
+            return values
+
+        e = parse(0, "edge:", int, 2)
+        variables = parse(1, "vars:", int)
+        bounds = parse(2, "box:", float, 2 * len(variables))
+        box = tuple(zip(bounds[::2], bounds[1::2]))
+        rows = [parse(h, "", float, len(variables) + 1) for h in range(3, len(numbered))]
         inputs = np.array([r[:-1] for r in rows], dtype=float).reshape(len(rows), len(variables))
         outputs = np.array([r[-1] for r in rows], dtype=float)
         edge = None if e == (-1, -1) else e
@@ -118,7 +129,6 @@ class ApproxConfig:
     epochs: int = 4000
     learning_rate: float = 1e-1
     momentum: float = 0.9
-    weight_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -269,7 +279,6 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
     m = X.shape[0]
     lr = config.learning_rate
     mom = config.momentum
-    wd = config.weight_decay
     loss = float("inf")
     for _ in range(config.epochs):
         # Nesterov lookahead: gradient at the momentum-extrapolated point.
@@ -280,11 +289,11 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
         err = pred - t
         loss = float(np.mean(err**2))
         gpred = 2.0 * err / m
-        gW2 = act.T @ gpred + 2.0 * wd * lW2
+        gW2 = act.T @ gpred
         gb2 = float(gpred.sum())
         gact = np.outer(gpred, lW2)
         gpre = gact * (pre > 0)
-        gW1 = Z.T @ gpre + 2.0 * wd * lW1
+        gW1 = Z.T @ gpre
         gb1 = gpre.sum(axis=0)
         vW1 = mom * vW1 - lr * gW1
         vb1 = mom * vb1 - lr * gb1
@@ -313,12 +322,12 @@ def fit_surrogate(samples: SampleSet, kind: str, config: ApproxConfig, seed):
 
 
 class _NodeObjective:
-    """Sum of one exact quadratic and fitted surrogate terms over a var set."""
+    """Sum of exact quadratic and fitted surrogate terms over a var set."""
 
-    def __init__(self, variables: tuple, quad: QuadFunc, mlps: Sequence[MLPSurrogate]):
+    def __init__(self, variables: tuple, quads: Sequence[QuadFunc], mlps: Sequence[MLPSurrogate]):
         self.variables = variables
         self.index = {v: i for i, v in enumerate(variables)}
-        self.quad = quad.embed(variables)
+        self.quad = quad_sum(quads, variables)
         self.mlps = list(mlps)
         self._mlp_idx = [
             np.array([self.index[v] for v in s.variables], dtype=int) for s in self.mlps
@@ -529,10 +538,7 @@ def approx_message_passing(
                 mlp_terms.append(s)
         variables = tuple(sorted(set().union(*(q.vars for q in quad_terms),
                                              *(s.variables for s in mlp_terms))))
-        combined = QuadFunc.zero(variables)
-        for q in quad_terms:
-            combined = combined + q.embed(variables)
-        objective = _NodeObjective(variables, combined, mlp_terms)
+        objective = _NodeObjective(variables, quad_terms, mlp_terms)
         center = _local_center(objective)
         if i == dtree.root:
             rng = _rng(seed, _TAG_OPT, i)

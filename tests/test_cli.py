@@ -109,6 +109,26 @@ class TestRunExact:
         inst_path.write_text(json.dumps(payload))
         assert run_cli("run-exact", inst_path, "--root", "0") == 3
 
+    def test_nan_observation_exits_two(self, tmp_path, capsys):
+        payload = json.loads(dumps(fixture_eg32()))
+        payload["observations"][0][1] = float("nan")
+        inst_path = tmp_path / "nan.json"
+        inst_path.write_text(json.dumps(payload))
+        out = tmp_path / "res.json"
+        assert run_cli("run-exact", inst_path, "--root", "1", "--out", out) == 2
+        assert "observation 0 at node 0 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_linear_term_exits_two(self, tmp_path, capsys):
+        payload = json.loads(dumps(fixture_eg32()))
+        payload["quads"][1]["b"][0] = float("inf")
+        inst_path = tmp_path / "inf.json"
+        inst_path.write_text(json.dumps(payload))
+        out = tmp_path / "res.json"
+        assert run_cli("run-exact", inst_path, "--root", "1", "--out", out) == 2
+        assert "quadratic 1: A, b and c must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunApprox:
     def test_quadratic_ls_matches_exact(self, tmp_path, capsys):

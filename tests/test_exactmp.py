@@ -5,8 +5,11 @@ local function over the full graph, fixing the observations, and
 minimizing in one shot must agree with any tree-structured elimination.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nervemp.bench import (
     fixture_eg32,
@@ -305,3 +308,28 @@ class TestRunReport:
         run2 = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
         for i in run1.messages:
             assert message_digest(run1.messages[i]) == message_digest(run2.messages[i])
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.integers(min_value=2, max_value=30), seed=st.integers(min_value=0, max_value=10_000))
+def test_every_tree_and_root_matches_the_oracle(t, seed):
+    """On a regularized random cover, every spanning-tree strategy and every
+    root reproduce the centralized minimum and argmin, and each unobserved
+    variable is eliminated at exactly one edge or survives to the root."""
+    cover, quads, obs = random_instance(t, seed)
+    quads = regularize(quads, 1e-3, seed)
+    cval, xhat, _ = centralized_solve(cover, quads, obs)
+    used = set().union(*(q.vars for q in quads)) - cover.observable_set
+    nerve = build_nerve(cover)
+    for strategy in ("bfs", "random", "max_overlap"):
+        stree = spanning_tree(nerve, strategy, cover, seed=seed)
+        for root in range(cover.t):
+            run = run_message_passing(cover, quads, obs, direct_tree(stree, root))
+            value, yhat, _ = local_solve(run)
+            assert abs(value - cval) <= 1e-8 * max(1.0, abs(cval))
+            xfull = back_substitute(run, yhat)
+            assert np.max(np.abs(xfull - xhat)) <= 1e-6
+            placed = Counter(run.aggregated.vars)
+            for rec in run.edge_records.values():
+                placed.update(rec.argmin.eliminated)
+            assert placed == Counter(used)

@@ -1,11 +1,20 @@
 """Instance file encoding: canonical bytes and first-violation reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
 from nervemp.bench import fixture_triangle, gen_random_cover, gen_random_quads
 from nervemp.errors import InvalidInstance
-from nervemp.instancefile import Instance, dumps, load_instance, loads, save_instance
+from nervemp.instancefile import (
+    Instance,
+    dumps,
+    from_payload,
+    load_instance,
+    loads,
+    save_instance,
+)
 from nervemp.solubility import linear_task, objective_task
 
 
@@ -56,6 +65,19 @@ def test_reports_quad_outside_subgraph():
            '"quads":[{"A":[],"b":[0.0],"c":0.0,"vars":[5]}],"subgraphs":[[0,1]]}')
     with pytest.raises(InvalidInstance, match=r"quadratic 0 uses nodes \[5\]"):
         loads(bad)
+
+
+def test_reports_non_finite_task_entry():
+    inst = fixture_triangle()
+    task = linear_task(np.ones((2, inst.cover.graph.n)))
+    payload = json.loads(dumps(Instance(cover=inst.cover, quads=inst.quads, task=task)))
+    payload["task"]["L"][1][3] = float("nan")
+    with pytest.raises(InvalidInstance, match=r"task matrix entry \(1, 3\) is not finite"):
+        from_payload(payload)
+    payload["task"]["L"][1][3] = 0.0
+    payload["task"]["d"][0] = float("-inf")
+    with pytest.raises(InvalidInstance, match=r"task offset entry \(0,\) is not finite"):
+        from_payload(payload)
 
 
 def test_rejects_non_json():

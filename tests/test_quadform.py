@@ -16,7 +16,7 @@ from nervemp.errors import (
     UnboundedBelow,
     UnknownVariable,
 )
-from nervemp.quadform import QuadFunc, subspace_distance_quad
+from nervemp.quadform import QuadFunc, quad_sum, subspace_distance_quad
 
 
 def random_psd(n, rng, ridge=0.1):
@@ -127,6 +127,38 @@ class TestAdd:
                 [x[pos[v]] for v in q2.vars]
             )
             assert abs(s.evaluate(x) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+class TestQuadSum:
+    def _bytes(self, q):
+        return repr(q.vars), q.A.tobytes(), q.b.tobytes(), np.float64(q.c).tobytes()
+
+    def test_equals_chained_add_bitwise(self):
+        rng = np.random.default_rng(14)
+        shared = (7, 2, 5)  # deliberately unsorted
+        same = [QuadFunc(shared, random_psd(3, rng), rng.standard_normal(3),
+                         float(rng.standard_normal())) for _ in range(3)]
+        mixed = same + [QuadFunc((5, 0), random_psd(2, rng), rng.standard_normal(2), 0.25)]
+        for terms in (same, mixed):
+            chained = terms[0]
+            for q in terms[1:]:
+                chained = chained + q
+            assert self._bytes(quad_sum(terms)) == self._bytes(chained)
+        assert quad_sum(same).vars == shared
+        assert quad_sum(mixed).vars == (0, 2, 5, 7)
+
+    def test_explicit_variables_equal_embedded_sum(self):
+        rng = np.random.default_rng(15)
+        q1 = random_quad(3, rng)
+        q2 = QuadFunc((2, 4), random_psd(2, rng), rng.standard_normal(2), 1.0)
+        sup = (4, 0, 9, 2, 1)
+        expect = QuadFunc.zero(sup) + q1.embed(sup) + q2.embed(sup)
+        assert self._bytes(quad_sum([q1, q2], sup)) == self._bytes(expect)
+
+    def test_missing_variable(self):
+        q = QuadFunc((0, 5), np.eye(2), np.zeros(2), 0.0)
+        with pytest.raises(MissingVariable):
+            quad_sum([q], (0, 1))
 
 
 class TestFixVars:
@@ -249,6 +281,23 @@ class TestPartialMinimize:
         q = QuadFunc((0, 1), [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 0.0)
         with pytest.raises(UnboundedBelow):
             q.partial_minimize([1])
+
+    def test_min_eig_is_smallest_eigenvalue_of_the_block(self):
+        rng = np.random.default_rng(16)
+        q = random_quad(6, rng)
+        _, amap = q.partial_minimize([4, 1, 3])
+        yi = [q.vars.index(v) for v in amap.eliminated]
+        w = np.linalg.eigvalsh(q.A[np.ix_(yi, yi)])
+        assert abs(amap.min_eig - w[0]) <= 1e-12 * abs(w[-1])
+        assert not amap.singular
+
+    def test_rank_deficient_block_is_singular(self):
+        # y1 and y2 enter only through y1 + y2: the eliminated block has rank 1
+        q = QuadFunc((0, 1, 2), [[1, 1, -1], [1, 1, -1], [-1, -1, 1.0]], np.zeros(3), 0.0)
+        msg, amap = q.partial_minimize([0, 1])
+        assert amap.singular
+        assert abs(amap.min_eig) <= 1e-12
+        assert abs(msg.evaluate([1.0])) <= 1e-12  # y1 + y2 = x is attainable
 
     def test_empty_elimination_is_identity(self):
         rng = np.random.default_rng(10)
@@ -391,6 +440,15 @@ class TestConstructionInvariants:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             QuadFunc((0,), [[-1.0]], [0.0], 0.0)
+
+    @pytest.mark.parametrize("A, b, c", [
+        ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], 0.0),
+        (np.eye(2), [0.0, np.inf], 0.0),
+        (np.eye(2), [0.0, 0.0], -np.inf),
+    ])
+    def test_rejects_non_finite(self, A, b, c):
+        with pytest.raises(ValueError, match="finite"):
+            QuadFunc((0, 1), A, b, c)
 
     def test_rejects_duplicate_vars(self):
         with pytest.raises(ValueError):

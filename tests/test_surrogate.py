@@ -5,6 +5,8 @@ squares surrogates and enough samples, the approximate pipeline recovers
 the exact messages and therefore the exact optimum.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from nervemp.bench import (
     gen_random_quads,
 )
 from nervemp.cover import Graph, SubgraphCover, build_nerve, direct_tree, spanning_tree
-from nervemp.errors import SingularFit
+from nervemp.errors import InvalidInstance, SingularFit
 from nervemp.exactmp import local_solve, regularize, run_message_passing
 from nervemp.quadform import QuadFunc
 from nervemp.surrogate import (
@@ -207,6 +209,19 @@ class TestWireFormat:
         assert lines[0] == "edge:1,2"
         assert lines[1] == "vars:3"
         assert len(lines) == 3 + 2
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: expected the 'edge:' header"),
+        ("edge:1,2\nbox:-1.0,1.0\n0.5,1.0\n", "line 2: expected the 'vars:' header"),
+        ("edge:1,2\nvars:3\nbox:-1.0,1.0\n0.5,1.0\n0.5,abc\n",
+         "line 5: '0.5,abc': could not convert string to float"),
+        ("edge:1,2\nvars:3,4\nbox:-1.0,1.0;-1.0,1.0\n\n0.5,0.25\n",
+         "line 5: '0.5,0.25': 2 values, expected 3"),
+    ])
+    def test_malformed_text_names_the_line(self, text, message):
+        with pytest.raises(InvalidInstance, match=re.escape(message)):
+            SampleSet.from_wire(text)
 
 
 class TestIdentifiability:
