@@ -153,6 +153,8 @@ def gen_distributed_sampling(
     analytic signal scale.
     """
     n = cover.graph.n
+    if k < 1:
+        raise ValueError(f"basis count {k} must be at least 1")
     if k > n:
         raise ValueError(f"basis count {k} exceeds node count {n}")
     rng = np.random.default_rng(seed)
@@ -416,6 +418,8 @@ def run_experiment(
     """
     if (k_list is None) == (m_list is None):
         raise ValueError("exactly one of k_list / m_list must be given")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     sweep = [("k", k) for k in k_list] if k_list is not None else [("m", m) for m in m_list]
     rows = spec.rows if spec.rows is not None else DEFAULT_STATS_ROWS
     nerve = spec.nerve or random_nerve_for_stats(rows, seed)

@@ -4,8 +4,11 @@ A task is either a linear map tau(x) = Lx + d on full signals or the scalar
 objective value.  For linear tasks on quadratic objectives the global
 problem s -> tau(xhat(s)) is affine and is read off the argmin map of one
 partial minimization over the unobserved nodes.  The jet analysis works at
-order 2, which determines a quadratic message completely, and estimates the
-generic rank of the coefficient map s -> (A, b, c) of a leaf's message.
+order 2, which determines a quadratic message completely, and computes the
+generic rank of the coefficient map s -> (A, b, c) of a leaf's message from
+one elimination that keeps the observations as variables.  The direct test
+reads the root's argmin map s -> yhat_root(s) off the assembled objective
+the same way, without running the engine.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ import numpy as np
 
 from .cover import SpanningTree, SubgraphCover, compute_partitions, direct_tree
 from .errors import IllDefinedTask
-from .exactmp import _fix_observations, centralized_solve, local_solve, run_message_passing
+from .exactmp import centralized_solve, local_solve, run_message_passing
 from .quadform import QuadFunc, quad_sum
 
-JET_SAMPLES = 32
-JET_FD_STEP = 1e-3
 RANK_TOL = 1e-8
+# Random observation points at which the objective task's direct test
+# compares the aggregated and centralized minima.
+OBJECTIVE_CHECKS = 5
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,10 @@ class GlobalProblemMap:
 
 @dataclass(frozen=True)
 class JetProfile:
-    """Sampled rank data of a leaf message's coefficient family."""
+    """Rank data of a leaf message's coefficient family s -> (A, b, c)."""
 
     leaf: int
     evaluator: Callable = field(repr=False)
-    jacobians: tuple = field(repr=False)
     d_jet: int
     msg_dim: int
     eliminated_count: int
@@ -145,77 +148,52 @@ def global_problem_map(
     return GlobalProblemMap(s_order=cover.s_order, matrix=matrix, offset=offset)
 
 
-def _leaf_message_coeffs(cover, quads, dtree, leaf, partition):
-    """Coefficient vector (A flat, b, c) of the leaf's message at given s."""
-
-    def evaluator(s_vec: np.ndarray) -> np.ndarray:
-        obs = dict(zip(cover.s_order, np.asarray(s_vec, dtype=float).tolist()))
-        h = _fix_observations(quads[leaf], obs, cover.observables[leaf])
-        y_present = [v for v in partition.y_vars if v in h.vars]
-        msg, _ = h.partial_minimize(y_present)
-        return np.concatenate([msg.A.reshape(-1), msg.b, [msg.c]])
-
-    return evaluator
-
-
 def jet_profile(
-    cover: SubgraphCover,
-    quads: Sequence[QuadFunc],
-    dtree,
-    leaf: int,
-    n_samples: int = JET_SAMPLES,
-    step: float = JET_FD_STEP,
-    seed: int = 0,
+    cover: SubgraphCover, quads: Sequence[QuadFunc], dtree, leaf: int
 ) -> JetProfile:
     """Generic rank of the leaf message's coefficient map s -> (A, b, c).
 
-    Finite-difference Jacobians at seeded random observation points; the
-    reported rank is the maximum numerical rank (SVD, 1e-8 * sigma_max)
-    over the samples.  Central differences are exact here because message
-    coefficients are polynomial in s.
+    Eliminating the leaf's y-set from its quadratic with the observables
+    kept as variables gives Q(w, s_i) once.  Fixing s gives the message
+    A = Q_ww, b = Q_w + 2 Q_ws s, c = s'Q_ss s + Q_s's + Q_c, so the
+    Jacobian is [B; (2Cs + g)'] with B = 2 Q_ws, C = Q_ss, g = Q_s, and its
+    generic rank is rank(B) + [rank([B; C; g']) > rank(B)].  Ranks are
+    numerical (SVD, RANK_TOL * sigma_max) with the absolute floor
+    RANK_TOL * max(1, largest |coefficient of Q|), which keeps float noise
+    in an identically-zero message family from registering as rank.  The
+    evaluator is the map s -> (A flat, b, c) itself, from Q.fix_vars.
     """
     if dtree.children[leaf]:
         raise ValueError(f"node {leaf} is not a leaf of the directed tree")
     if leaf == dtree.root:
         raise ValueError("the root sends no message; pick a non-root leaf")
     partition = compute_partitions(cover, dtree)[(leaf, dtree.parent[leaf])]
-    evaluator = _leaf_message_coeffs(cover, quads, dtree, leaf, partition)
-    s_order = cover.s_order
-    ns = len(s_order)
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((n_samples, ns))
-    jacobians = []
-    d_jet = 0
-    coeff_scale = 1.0
-    for p in points:
-        coeff_scale = max(coeff_scale, float(np.max(np.abs(evaluator(p)), initial=0.0)))
-        cols = []
-        for k in range(ns):
-            e = np.zeros(ns)
-            e[k] = step
-            cols.append((evaluator(p + e) - evaluator(p - e)) / (2.0 * step))
-        J = np.stack(cols, axis=1) if cols else np.zeros((evaluator(p).size, 0))
-        jacobians.append(J)
-        if J.size:
-            sv = np.linalg.svd(J, compute_uv=False)
-            if sv.size and sv[0] > 0:
-                # Absolute floor keeps float noise in an identically-zero
-                # coefficient map from registering as rank.
-                tol = max(RANK_TOL * sv[0], RANK_TOL * coeff_scale)
-                d_jet = max(d_jet, int(np.sum(sv > tol)))
-    msg_dim = len(partition.x_vars) + len(partition.z_vars)
-    n_free = len(cover.subgraphs[leaf]) - len(cover.observables[leaf])
-    coeff_count = msg_dim * msg_dim + msg_dim + 1
-    assert d_jet <= min(ns, coeff_count)
+    q = quads[leaf]
+    Q, _ = q.partial_minimize(v for v in partition.y_vars if v in q.vars)
+    s_vars = [v for v in Q.vars if v in cover.observables[leaf]]
+    si = [k for k, v in enumerate(Q.vars) if v in s_vars]
+    wi = [k for k, v in enumerate(Q.vars) if v not in s_vars]
+    B = 2.0 * Q.A[np.ix_(wi, si)]
+    C = Q.A[np.ix_(si, si)]
+    g = Q.b[si]
+    floor = RANK_TOL * max(1.0, np.max(np.abs(Q.A), initial=0.0),
+                           np.max(np.abs(Q.b), initial=0.0), abs(Q.c))
+    rank_b = _num_rank(B, floor)
+    d_jet = rank_b + int(_num_rank(np.vstack([B, C, g[None, :]]), floor) > rank_b)
+
+    def evaluator(s_vec: np.ndarray) -> np.ndarray:
+        obs = dict(zip(cover.s_order, np.asarray(s_vec, dtype=float).tolist()))
+        msg = Q.fix_vars({v: obs[v] for v in s_vars})
+        return np.concatenate([msg.A.reshape(-1), msg.b, [msg.c]])
+
     return JetProfile(
         leaf=leaf,
         evaluator=evaluator,
-        jacobians=tuple(jacobians),
         d_jet=d_jet,
-        msg_dim=msg_dim,
+        msg_dim=len(partition.x_vars) + len(partition.z_vars),
         eliminated_count=len(partition.y_vars),
-        n_free=n_free,
-        s_order=s_order,
+        n_free=len(cover.subgraphs[leaf]) - len(cover.observables[leaf]),
+        s_order=cover.s_order,
     )
 
 
@@ -238,7 +216,6 @@ def insolubility_check(
     task: TaskSpec,
     stree: SpanningTree,
     leaf: int,
-    seed: int = 0,
 ) -> tuple[bool, dict]:
     """Dimension-count insolubility criterion at a tree leaf.
 
@@ -251,7 +228,7 @@ def insolubility_check(
         raise ValueError(f"node {leaf} is not a leaf of the spanning tree")
     head = adj[0][0] if adj[0][1] == leaf else adj[0][1]
     dtree = direct_tree(stree, head)
-    profile = jet_profile(cover, quads, dtree, leaf, seed=seed)
+    profile = jet_profile(cover, quads, dtree, leaf)
     ba = b_alpha(profile)
     s_i = len(cover.observables[leaf])
     s_total = len(cover.s_order)
@@ -281,40 +258,33 @@ def insolubility_check(
 
 
 def _local_affine_map(cover, quads, dtree):
-    """Rows of s -> (yhat_root(s), s_root) as [linear part | offset]."""
-    s_order = cover.s_order
-    ns = len(s_order)
+    """Rows of s -> (yhat_root(s), s_root, 1) as [linear part | offset].
 
-    def solve(s_vec):
-        obs = dict(zip(s_order, s_vec.tolist()))
-        run = run_message_passing(cover, quads, obs, dtree)
-        _, yhat, _ = local_solve(run)
-        return run.aggregated.vars, yhat
-
-    agg_vars, y0 = solve(np.zeros(ns))
-    lin = np.zeros((len(agg_vars), ns))
-    for k in range(ns):
-        e = np.zeros(ns)
-        e[k] = 1.0
-        _, yk = solve(e)
-        lin[:, k] = yk - y0
-    rows = [np.concatenate([lin, y0[:, None]], axis=1)] if len(agg_vars) else []
-    root_obs = cover.observables[dtree.root]
-    for v in root_obs:
-        sel = np.zeros(ns + 1)
-        sel[s_order.index(v)] = 1.0
-        rows.append(sel[None, :])
-    rows.append(np.concatenate([np.zeros(ns), [1.0]])[None, :])  # constant row
-    return np.concatenate(rows, axis=0)
+    By exactness the aggregated message is the assembled objective
+    minimized over the union of the tree's y-sets.  Minimizing that over
+    the remaining unobserved variables gives the root's minimum-norm
+    argmin yhat_root(s) = M s + m in closed form, with no engine run.
+    """
+    elim = set().union(*(p.y_vars for p in compute_partitions(cover, dtree).values()))
+    agg, _ = quad_sum(quads, cover.graph.nodes).partial_minimize(elim)
+    _, amap = agg.partial_minimize(set(agg.vars) - cover.observable_set)
+    # amap.inputs are the observable nodes in node order, i.e. s_order.
+    ns = len(cover.s_order)
+    select = np.eye(ns + 1)
+    root_rows = [cover.s_order.index(v) for v in cover.observables[dtree.root]]
+    return np.concatenate([
+        np.concatenate([amap.M, amap.m[:, None]], axis=1),
+        select[root_rows],
+        select[-1:],  # constant row
+    ])
 
 
-def _num_rank(X: np.ndarray) -> int:
+def _num_rank(X: np.ndarray, floor: float = 0.0) -> int:
+    """Singular values above RANK_TOL * sigma_max and above `floor`."""
     if X.size == 0:
         return 0
     sv = np.linalg.svd(X, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
+    return int(np.sum(sv > max(RANK_TOL * sv[0], floor)))
 
 
 def direct_solubility_test(
@@ -324,7 +294,6 @@ def direct_solubility_test(
     root: int,
     stree: SpanningTree,
     seed: int = 0,
-    n_check: int = 5,
 ) -> bool:
     """Can the global problem be read off the root's local argmin?
 
@@ -335,7 +304,7 @@ def direct_solubility_test(
     dtree = direct_tree(stree, root)
     if task.kind == "objective_value":
         rng = np.random.default_rng(seed)
-        for _ in range(n_check):
+        for _ in range(OBJECTIVE_CHECKS):
             s = rng.standard_normal(len(cover.s_order))
             obs = dict(zip(cover.s_order, s.tolist()))
             run = run_message_passing(cover, quads, obs, dtree)
@@ -360,7 +329,7 @@ def analysis_record(
     seed: int = 0,
 ) -> dict:
     """Flat analysis record combining the criterion and the direct test."""
-    flag, report = insolubility_check(cover, quads, task, stree, leaf, seed=seed)
+    flag, report = insolubility_check(cover, quads, task, stree, leaf)
     if root is None:
         adj = [e for e in stree.edges if leaf in e]
         root = adj[0][0] if adj[0][1] == leaf else adj[0][1]

@@ -92,7 +92,7 @@ def test_criterion_2_pinned_fixture():
     cover, quads, task = inst.cover, inst.quads, inst.task
     stree = spanning_tree(build_nerve(cover), "bfs", cover)
     dt = direct_tree(stree, 1)
-    prof = jet_profile(cover, quads, dt, 0, seed=11)
+    prof = jet_profile(cover, quads, dt, 0)
     rng = np.random.default_rng(7)
     coeff_max = max(
         float(np.max(np.abs(prof.evaluator(rng.standard_normal(4)))))
@@ -104,7 +104,7 @@ def test_criterion_2_pinned_fixture():
         float(np.max(np.abs(gpm.offset))),
     )
     ba = b_alpha(prof)
-    flag, report = insolubility_check(cover, quads, task, stree, 0, seed=11)
+    flag, report = insolubility_check(cover, quads, task, stree, 0)
     direct = direct_solubility_test(cover, quads, task, 1, stree)
     ok = (
         coeff_max <= 1e-10
@@ -347,8 +347,8 @@ def test_criterion_8_criterion_consistency():
             v for v in range(cover.t) if sum(1 for e in stree.edges if v in e) == 1
         ]
         for leaf in leaves:
-            flag, report = insolubility_check(cover, quads, task, stree, leaf, seed=seed)
-            flag2, report2 = insolubility_check(cover, quads, task, stree, leaf, seed=seed)
+            flag, report = insolubility_check(cover, quads, task, stree, leaf)
+            flag2, report2 = insolubility_check(cover, quads, task, stree, leaf)
             assert (flag, report) == (flag2, report2)  # deterministic
             if not flag:
                 continue

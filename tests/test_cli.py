@@ -47,6 +47,13 @@ class TestGen:
     def test_gen_needs_fixture_or_kind(self, tmp_path):
         assert run_cli("gen", "--out", tmp_path / "x.json") == 2
 
+    def test_zero_basis_count_exits_two_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "i.json"
+        code = run_cli("gen", "--kind", "distributed-sampling", "--k", "0",
+                       "--seed", "1", "--out", out)
+        assert code == 2
+        assert not out.exists()
+
 
 class TestRunExact:
     def test_fixture_run_reports_kernel(self, tmp_path, capsys):
@@ -211,3 +218,11 @@ class TestSweep:
         assert code == 0
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[5]) <= 1e-3
+
+    def test_zero_repeats_exits_two_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "r.csv"
+        agg = tmp_path / "agg.csv"
+        code = run_cli("sweep", "--k-list", "25", "--repeats", "0", "--seed", "1",
+                       "--out", out, "--aggregate-out", agg)
+        assert code == 2
+        assert not out.exists() and not agg.exists()

@@ -24,6 +24,7 @@ from nervemp.cover import (
     SubgraphCover,
     build_nerve,
     direct_tree,
+    held_variables,
     spanning_tree,
 )
 from nervemp.errors import MissingVariable, NonUniqueArgmin, UnboundedBelow
@@ -35,7 +36,7 @@ from nervemp.exactmp import (
     regularize,
     run_message_passing,
 )
-from nervemp.quadform import QuadFunc
+from nervemp.quadform import QuadFunc, quad_sum
 
 
 def random_instance(t, seed, rank_deficient=False, **cover_kw):
@@ -310,21 +311,32 @@ class TestRunReport:
             assert message_digest(run1.messages[i]) == message_digest(run2.messages[i])
 
 
+def _coeffs(q):
+    return np.concatenate([q.A.ravel(), q.b, [q.c]])
+
+
 @settings(max_examples=10, deadline=None)
 @given(t=st.integers(min_value=2, max_value=30), seed=st.integers(min_value=0, max_value=10_000))
 def test_every_tree_and_root_matches_the_oracle(t, seed):
     """On a regularized random cover, every spanning-tree strategy and every
     root reproduce the centralized minimum and argmin, and each unobserved
-    variable is eliminated at exactly one edge or survives to the root."""
+    variable is eliminated at exactly one edge or survives to the root.
+    At each edge s/x/y/z are disjoint and the argmin map eliminates y in
+    terms of x and z.  At one root per tree, s/x/y/z cover the tail's held
+    variables at each edge, and the aggregated message equals the assembled
+    objective minimized over the union of the y-sets."""
     cover, quads, obs = random_instance(t, seed)
     quads = regularize(quads, 1e-3, seed)
     cval, xhat, _ = centralized_solve(cover, quads, obs)
     used = set().union(*(q.vars for q in quads)) - cover.observable_set
+    assembled = quad_sum(quads, cover.graph.nodes)
+    s_obs = {v: obs[v] for v in cover.s_order}
     nerve = build_nerve(cover)
     for strategy in ("bfs", "random", "max_overlap"):
         stree = spanning_tree(nerve, strategy, cover, seed=seed)
         for root in range(cover.t):
-            run = run_message_passing(cover, quads, obs, direct_tree(stree, root))
+            dtree = direct_tree(stree, root)
+            run = run_message_passing(cover, quads, obs, dtree)
             value, yhat, _ = local_solve(run)
             assert abs(value - cval) <= 1e-8 * max(1.0, abs(cval))
             xfull = back_substitute(run, yhat)
@@ -332,4 +344,22 @@ def test_every_tree_and_root_matches_the_oracle(t, seed):
             placed = Counter(run.aggregated.vars)
             for rec in run.edge_records.values():
                 placed.update(rec.argmin.eliminated)
+                p = rec.partition
+                flat = p.s_vars + p.x_vars + p.y_vars + p.z_vars
+                assert len(flat) == len(set(flat))
+                assert set(rec.argmin.eliminated) <= set(p.y_vars)
+                assert set(rec.argmin.inputs) <= set(p.x_vars + p.z_vars)
             assert placed == Counter(used)
+            if root != seed % cover.t:
+                continue  # held_variables and the assembled elimination are O(t) per root
+            elim = set()
+            for (i, _), rec in run.edge_records.items():
+                p = rec.partition
+                held = set(p.s_vars + p.x_vars + p.y_vars + p.z_vars)
+                assert held == set(held_variables(cover, dtree, i))
+                elim.update(p.y_vars)
+            closed, _ = assembled.partial_minimize(elim)
+            closed = closed.fix_vars(s_obs)
+            engine = run.aggregated.embed(closed.vars)
+            gap = np.max(np.abs(_coeffs(engine) - _coeffs(closed)))
+            assert gap <= 1e-8 * max(1.0, np.max(np.abs(_coeffs(closed))))
