@@ -51,22 +51,25 @@ DEFAULT_STATS_ROWS = (
 )
 
 
+# Harness recipe.  Once k reaches max |V_i| every local span is complete,
+# the objective is identically zero, and the error ratio loses its
+# denominator, so the harness regularizes every instance it generates.
+REGULARIZE_EPS = 1e-2
+BOX_SCALE = 0.3  # sampling box radius per unit of observation RMS
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
-    """What to generate: kind, structural parameters, basis count, seed."""
+    """What to generate: `kind` (random_quadratic, distributed_sampling or
+    cover_from_stats), subgraph count `t`, basis count `k`, cover statistics
+    `rows` and `nerve` (default: benchmark rows, seeded nerve), `noise`, `seed`."""
 
-    kind: str  # random_quadratic | distributed_sampling | fixture_eg32 | cover_from_stats
+    kind: str
     t: int = 4
     k: int = 25
     rows: tuple | None = None
     nerve: tuple | None = None
     noise: float | None = None
-    box_scale: float | None = 0.3
-    rank_deficient: bool = False
-    # Once k reaches max |V_i| every local span is complete, the objective is
-    # identically zero, and the error ratio loses its denominator; the
-    # harness therefore regularizes benchmark instances by default.
-    regularize_eps: float | None = 1e-2
     seed: int = 0
 
 
@@ -155,6 +158,8 @@ def gen_distributed_sampling(
     n = cover.graph.n
     if k < 1:
         raise ValueError(f"basis count {k} must be at least 1")
+    if noise is not None and not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise {noise} must be finite and non-negative")
     if k > n:
         raise ValueError(f"basis count {k} exceeds node count {n}")
     rng = np.random.default_rng(seed)
@@ -375,11 +380,9 @@ def random_nerve_for_stats(rows, seed: int) -> tuple:
 
 def generate_instance(spec: InstanceSpec) -> Instance:
     """Instance from an InstanceSpec; a pure function of it (seed included)."""
-    if spec.kind == "fixture_eg32":
-        return fixture_eg32()
     if spec.kind == "random_quadratic":
         cover = gen_random_cover(spec.t, spec.seed)
-        quads = gen_random_quads(cover, spec.seed + 1, rank_deficient=spec.rank_deficient)
+        quads = gen_random_quads(cover, spec.seed + 1)
         obs = gen_random_observations(cover, spec.seed + 2)
         return Instance(cover=cover, quads=quads, task=None, observations=obs)
     if spec.kind in ("distributed_sampling", "cover_from_stats"):
@@ -406,15 +409,15 @@ def run_experiment(
     m_list=None,
     repeats: int = 1,
     seed: int = 0,
-    tree_strategy: str = "bfs",
-    root: int = 0,
 ) -> tuple[list[dict], list[dict]]:
     """Sweep k (basis count) or m (samples per edge) and collect R records.
 
-    The cover and tree are fixed across the sweep (seeded); each sweep point
-    and repeat regenerates the basis signals and observations with a derived
-    seed, runs the centralized oracle and the approximate pipeline, and
-    records the error ratio.  Returns (records, per-point aggregates).
+    The cover (seeded) and its BFS tree rooted at subgraph 0 are fixed
+    across the sweep; each sweep point and repeat regenerates the basis
+    signals and observations with a derived seed, regularizes them with
+    REGULARIZE_EPS, runs the centralized oracle and the approximate
+    pipeline with a box radius of BOX_SCALE times the observations' RMS,
+    and records the error ratio.  Returns (records, per-point aggregates).
     """
     if (k_list is None) == (m_list is None):
         raise ValueError("exactly one of k_list / m_list must be given")
@@ -424,8 +427,7 @@ def run_experiment(
     rows = spec.rows if spec.rows is not None else DEFAULT_STATS_ROWS
     nerve = spec.nerve or random_nerve_for_stats(rows, seed)
     cover = cover_from_stats(rows, nerve, seed=seed)
-    stree = spanning_tree(build_nerve(cover), tree_strategy, cover, root=root, seed=seed)
-    dtree = direct_tree(stree, root)
+    dtree = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
     records = []
     for p_idx, (axis, point) in enumerate(sweep):
         for rep in range(repeats):
@@ -433,12 +435,10 @@ def run_experiment(
             k = point if axis == "k" else spec.k
             m = point if axis == "m" else config.m
             quads, _, obs = gen_distributed_sampling(cover, k, run_seed, spec.noise)
-            if spec.regularize_eps is not None:
-                quads = regularize(quads, spec.regularize_eps, run_seed)
+            quads = regularize(quads, REGULARIZE_EPS, run_seed)
             truth, _, _ = centralized_solve(cover, quads, obs)
-            run_cfg = replace(config, m=m, seed=run_seed)
-            if spec.box_scale is not None:
-                run_cfg = replace(run_cfg, box_radius=spec.box_scale * _observation_rms(obs))
+            run_cfg = replace(config, m=m, seed=run_seed,
+                              box_radius=BOX_SCALE * _observation_rms(obs))
             if run_cfg.kind == "quadratic_ls":
                 # a 25% margin over bare identifiability keeps the widest
                 # edge's interpolation problem well conditioned

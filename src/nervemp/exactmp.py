@@ -107,9 +107,10 @@ def local_solve(run: MessagePassingRun) -> tuple[float, np.ndarray, np.ndarray]:
     return run.aggregated.global_minimize()
 
 
-def back_substitute(run: MessagePassingRun, yhat_root) -> np.ndarray:
+def back_substitute(run: MessagePassingRun, yhat_root: np.ndarray) -> np.ndarray:
     """Replay the per-edge argmin maps from the root outward.
 
+    `yhat_root` is `local_solve`'s minimizer over the aggregated vars.
     Recovers every eliminated variable and returns the full signal over V.
     Requires every elimination block to have been nonsingular.
     """
@@ -118,17 +119,13 @@ def back_substitute(run: MessagePassingRun, yhat_root) -> np.ndarray:
             raise NonUniqueArgmin(
                 f"elimination block at edge {rec.edge} was singular"
             )
+    y = np.asarray(yhat_root, dtype=float).reshape(-1)
+    if y.shape[0] != len(run.aggregated.vars):
+        raise ValueError(
+            f"root minimizer has length {y.shape[0]}, expected {len(run.aggregated.vars)}"
+        )
     assign = {v: float(x) for v, x in run.observations.items()}
-    if isinstance(yhat_root, Mapping):
-        assign.update({v: float(x) for v, x in yhat_root.items()})
-    else:
-        y = np.asarray(yhat_root, dtype=float).reshape(-1)
-        if y.shape[0] != len(run.aggregated.vars):
-            raise ValueError(
-                f"root minimizer has length {y.shape[0]}, "
-                f"expected {len(run.aggregated.vars)}"
-            )
-        assign.update(dict(zip(run.aggregated.vars, y.tolist())))
+    assign.update(zip(run.aggregated.vars, y.tolist()))
     for i in reversed(run.dtree.postorder()):
         if i == run.dtree.root:
             continue
@@ -185,8 +182,8 @@ def regularize(quads: Sequence[QuadFunc], eps: float, seed: int) -> tuple[QuadFu
     (eps/2, eps] and a_v * v^2 is added.  Every elimination block along
     every directed tree then becomes strictly positive definite.
     """
-    if eps <= 0:
-        raise ValueError("regularization strength must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"regularization strength {eps} must be finite and positive")
     rng = np.random.default_rng(seed)
     out = []
     for q in quads:

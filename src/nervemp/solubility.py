@@ -197,16 +197,14 @@ def jet_profile(
     )
 
 
-def b_alpha(profile: JetProfile, definition_literal: bool = False) -> int:
+def b_alpha(profile: JetProfile) -> int:
     """Jet-image dimension minus the leaf's free-variable domain dimension.
 
-    The default convention subtracts the pre-elimination free domain
-    dimension |V_i| - |S_i|, which is the reading that measures how much
-    observation information survives in the message.  The literal variant
-    subtracts the message domain dimension instead, leaving d_jet.
+    Subtracting the pre-elimination free domain dimension |V_i| - |S_i|
+    measures how much observation information survives in the message; the
+    literal reading, which subtracts the message domain dimension, leaves
+    `profile.d_jet`.
     """
-    if definition_literal:
-        return profile.d_jet
     return profile.d_jet - profile.n_free
 
 

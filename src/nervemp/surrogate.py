@@ -34,6 +34,13 @@ ARMIJO_C1 = 1e-4
 STEP_GROW = 1.25
 STEP_COLLAPSE = 1e-12
 GRAD_TOL = 1e-5
+DESCENT_STEPS = 5000
+STEP0 = 1.0
+INNER_RESTARTS = 2
+HIDDEN_WIDTH = 64
+LEARNING_RATE = 1e-1
+MOMENTUM = 0.9
+ERROR_RATIO_FLOOR = 1e-6
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
@@ -115,20 +122,17 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class ApproxConfig:
-    """Knobs of the approximate pipeline; defaults follow the shipped recipe."""
+    """One approximate run: `m` samples per edge, surrogate `kind`
+    ("quadratic_ls" or "one_hidden_layer"), sampling `box_radius`, root
+    descent `restarts`, network training `epochs` and root `seed`.  The rest
+    of the recipe is the module constants DESCENT_STEPS, STEP0,
+    INNER_RESTARTS, HIDDEN_WIDTH, LEARNING_RATE and MOMENTUM."""
 
     m: int = 80
-    kind: str = "quadratic_ls"  # or "one_hidden_layer"
+    kind: str = "quadratic_ls"
     box_radius: float = 5.0
     restarts: int = 8
-    inner_restarts: int = 2
-    steps: int = 5000
-    # initial step along the preconditioned (damped-Newton) direction
-    step_size: float = 1.0
-    hidden_width: int = 64
     epochs: int = 4000
-    learning_rate: float = 1e-1
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -136,6 +140,10 @@ class ApproxConfig:
             raise ValueError("need at least one sample per edge")
         if self.kind not in ("quadratic_ls", "one_hidden_layer"):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if not (np.isfinite(self.box_radius) and self.box_radius > 0):
+            raise ValueError(f"box radius must be finite and positive, got {self.box_radius}")
 
 
 def quad_coeff_count(dim: int) -> int:
@@ -196,7 +204,7 @@ def sample_message(
     box: Sequence,
     m: int,
     seed,
-    variables: tuple = (),
+    variables: tuple,
     edge: tuple[int, int] | None = None,
 ) -> SampleSet:
     """m i.i.d. uniform points in the box, evaluated through `h` (batched)."""
@@ -206,8 +214,7 @@ def sample_message(
     hi = np.array([b[1] for b in box])
     X = rng.uniform(size=(m, len(box))) * (hi - lo) + lo
     y = np.asarray(h(X), dtype=float).reshape(-1)
-    return SampleSet(variables=variables or tuple(range(len(box))),
-                     box=box, inputs=X, outputs=y, edge=edge)
+    return SampleSet(variables=variables, box=box, inputs=X, outputs=y, edge=edge)
 
 
 def _quad_features(X: np.ndarray) -> np.ndarray:
@@ -255,7 +262,7 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
     X = samples.inputs
     y = samples.outputs
     d = X.shape[1]
-    H = config.hidden_width
+    H = HIDDEN_WIDTH
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0)
     x_scale = np.where(x_scale < 1e-12, 1.0, x_scale)
@@ -277,8 +284,8 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
     vW2 = np.zeros_like(W2)
     vb2 = 0.0
     m = X.shape[0]
-    lr = config.learning_rate
-    mom = config.momentum
+    lr = LEARNING_RATE
+    mom = MOMENTUM
     loss = float("inf")
     for _ in range(config.epochs):
         # Nesterov lookahead: gradient at the momentum-extrapolated point.
@@ -313,12 +320,11 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
     )
 
 
-def fit_surrogate(samples: SampleSet, kind: str, config: ApproxConfig, seed):
-    if kind == "quadratic_ls":
+def fit_surrogate(samples: SampleSet, config: ApproxConfig, seed):
+    """Fit the surrogate of kind `config.kind` to the samples."""
+    if config.kind == "quadratic_ls":
         return _fit_quadratic_ls(samples)
-    if kind == "one_hidden_layer":
-        return _fit_mlp(samples, config, seed)
-    raise ValueError(f"unknown surrogate kind {kind!r}")
+    return _fit_mlp(samples, config, seed)
 
 
 class _NodeObjective:
@@ -350,15 +356,14 @@ class _NodeObjective:
         return g
 
 
-def _batched_descent(fun, grad, X0, steps, step0, grad_tol=GRAD_TOL, precond=None,
-                     bound=None):
+def _batched_descent(fun, grad, X0, precond, bound):
     """Projected descent with per-row Armijo backtracking / growth.
 
-    `precond` maps a batch of gradients to descent directions (identity when
-    None); passing the inverse of the known quadratic block makes the loop a
-    damped Newton method on the smooth part, which plain gradient steps
-    cannot match on ill-conditioned blocks within the budget.  `bound` clips
-    iterates to [-bound, bound] per coordinate: surrogate sums are only
+    `precond` maps a batch of gradients to descent directions; the inverse
+    of the known quadratic block makes the loop a damped Newton method on
+    the smooth part, which plain gradient steps cannot match on
+    ill-conditioned blocks within the budget.  `bound` is a (lo, hi) pair
+    that clips iterates per coordinate: surrogate sums are only
     trustworthy on the sampling domain, and rectifier surrogates can slope
     downward forever outside it.  Convergence per row: gradient norm below
     tolerance, step collapse (projected stationarity or a nonsmooth kink),
@@ -366,24 +371,22 @@ def _batched_descent(fun, grad, X0, steps, step0, grad_tol=GRAD_TOL, precond=Non
     """
     X = np.array(X0, dtype=float)
     f = fun(X)
-    step = np.full(X.shape[0], float(step0))
-    step_max = max(1e3 * float(step0), 1.0)
+    step = np.full(X.shape[0], STEP0)
+    step_max = max(1e3 * STEP0, 1.0)
     converged = np.zeros(X.shape[0], dtype=bool)
     last_improve = f.copy()
     since_improve = np.zeros(X.shape[0], dtype=int)
     checkpoint = f.copy()
     window_gain = np.full(X.shape[0], np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(steps):
+        for it in range(DESCENT_STEPS):
             active = ~converged
             if not active.any():
                 break
             g = grad(X)
-            d = g if precond is None else precond(g)
             gn = np.sqrt(np.einsum("bi,bi->b", g, g))
-            cand = X - step[:, None] * d
-            if bound is not None:
-                np.clip(cand, bound[0], bound[1], out=cand)
+            cand = X - step[:, None] * precond(g)
+            np.clip(cand, bound[0], bound[1], out=cand)
             move = X - cand
             decrease = np.einsum("bi,bi->b", g, move)
             fc = fun(cand)
@@ -397,7 +400,7 @@ def _batched_descent(fun, grad, X0, steps, step0, grad_tol=GRAD_TOL, precond=Non
             last_improve[improved] = f[improved]
             since_improve[improved] = 0
             since_improve[active & ~improved] += 1
-            converged |= (gn <= grad_tol) | (step < STEP_COLLAPSE) | (since_improve > 100)
+            converged |= (gn <= GRAD_TOL) | (step < STEP_COLLAPSE) | (since_improve > 100)
             if (it + 1) % 100 == 0:
                 # windowed stall check: crawling below 1e-7 relative per
                 # hundred steps counts as converged in value
@@ -410,15 +413,15 @@ def _batched_descent(fun, grad, X0, steps, step0, grad_tol=GRAD_TOL, precond=Non
     # at the end of the budget (or produced non-finite values).
     settled = (
         converged
-        | (gn <= grad_tol)
+        | (gn <= GRAD_TOL)
         | (step < STEP_COLLAPSE)
         | (np.isfinite(f) & (window_gain < 1e-5))
     )
     return X, f, settled
 
 
-def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts,
-                   steps, step0, rng, fixed_batch=None):
+def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts, rng,
+                   fixed_batch=None):
     """Minimize the objective over `free_vars` with multi-start descent.
 
     `bounds` is a (lo, hi) pair of arrays over the free variables; starts
@@ -450,7 +453,7 @@ def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts,
     if n_free == 0:
         return objective.evaluate_batch(base), base
     lo, hi = bounds
-    R = max(1, restarts)
+    R = restarts
     base_rep = np.repeat(base, R, axis=0)
     X0 = rng.uniform(size=(m * R, n_free)) * (hi - lo) + lo
 
@@ -475,9 +478,7 @@ def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts,
     def precond(G):
         return G @ P
 
-    Xf, fvals, settled = _batched_descent(
-        fun, grad, X0, steps, step0, precond=precond, bound=(lo, hi)
-    )
+    Xf, fvals, settled = _batched_descent(fun, grad, X0, precond, (lo, hi))
     if not settled.all():
         raise InnerOptimizationFailed(
             "descent exhausted its budget with gradient norm above tolerance"
@@ -543,8 +544,7 @@ def approx_message_passing(
         if i == dtree.root:
             rng = _rng(seed, _TAG_OPT, i)
             vals, pts = _minimize_over(
-                objective, variables, (center - r, center + r), config.restarts,
-                config.steps, config.step_size, rng,
+                objective, variables, (center - r, center + r), config.restarts, rng
             )
             value = float(vals[0])
             yhat = dict(zip(variables, pts[0].tolist())) if pts is not None else {}
@@ -568,17 +568,14 @@ def approx_message_passing(
 
         def message_fn(X, _obj=objective, _y=y_vars, _yb=y_bounds, _i=i):
             rng_in = _rng(seed, _TAG_OPT, _i, 0)
-            vals, _ = _minimize_over(
-                _obj, _y, _yb, config.inner_restarts,
-                config.steps, config.step_size, rng_in, fixed_batch=X,
-            )
+            vals, _ = _minimize_over(_obj, _y, _yb, INNER_RESTARTS, rng_in, fixed_batch=X)
             return vals
 
         samples = sample_message(
             message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j),
             variables=retained, edge=(i, j),
         )
-        fitted = fit_surrogate(samples, config.kind, config, _rng(seed, _TAG_FIT, i, j))
+        fitted = fit_surrogate(samples, config, _rng(seed, _TAG_FIT, i, j))
         surrogates[i] = fitted
         edge_diag.append({
             "edge": (i, j),
@@ -590,6 +587,6 @@ def approx_message_passing(
     raise AssertionError("traversal ended without reaching the root")
 
 
-def error_ratio(approx_value: float, truth_value: float, eps_abs: float = 1e-6) -> float:
-    """|approx - truth| / max(|truth|, eps_abs), in percent."""
-    return 100.0 * abs(approx_value - truth_value) / max(abs(truth_value), eps_abs)
+def error_ratio(approx_value: float, truth_value: float) -> float:
+    """|approx - truth| / max(|truth|, ERROR_RATIO_FLOOR), in percent."""
+    return 100.0 * abs(approx_value - truth_value) / max(abs(truth_value), ERROR_RATIO_FLOOR)

@@ -54,6 +54,15 @@ class TestGen:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_noise_exits_two_and_writes_nothing(self, tmp_path, capsys, noise):
+        out = tmp_path / "g.json"
+        code = run_cli("gen", "--kind", "distributed-sampling", "--k", "3",
+                       "--noise", noise, "--seed", "1", "--out", out)
+        assert code == 2
+        assert "must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunExact:
     def test_fixture_run_reports_kernel(self, tmp_path, capsys):
@@ -96,6 +105,17 @@ class TestRunExact:
         inst_path = tmp_path / "inst.json"
         save_instance(fixture_eg32(), inst_path)
         assert run_cli("run-exact", inst_path, "--regularize", "1e-3") == 2
+
+    @pytest.mark.parametrize("command", ["run-exact", "run-approx"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_regularize_exits_two(self, tmp_path, capsys, command, eps):
+        inst_path = tmp_path / "inst.json"
+        save_instance(fixture_eg32(), inst_path)
+        out = tmp_path / "res.json"
+        code = run_cli(command, inst_path, "--regularize", eps, "--seed", "1", "--out", out)
+        assert code == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_instance_file(self, tmp_path):
         assert run_cli("run-exact", tmp_path / "nope.json") == 2
@@ -156,6 +176,24 @@ class TestRunApprox:
         with pytest.raises(SystemExit) as exc:
             run_cli("run-approx", inst_path)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--restarts", "0", "restarts must be at least 1"),
+        ("--restarts", "-3", "restarts must be at least 1"),
+        ("--box-radius", "nan", "box radius must be finite and positive"),
+        ("--box-radius", "inf", "box radius must be finite and positive"),
+        ("--box-radius", "0", "box radius must be finite and positive"),
+        ("--box-radius", "-1", "box radius must be finite and positive"),
+    ])
+    def test_bad_config_exits_two(self, tmp_path, capsys, option, value, message):
+        inst_path = tmp_path / "inst.json"
+        save_instance(fixture_eg32(), inst_path)
+        out = tmp_path / "res.json"
+        code = run_cli("run-approx", inst_path, "--surrogate", "mlp", option, value,
+                       "--seed", "1", "--out", out)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_outputs(self, tmp_path):
         inst_path = tmp_path / "inst.json"

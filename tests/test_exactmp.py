@@ -221,6 +221,15 @@ class TestBackSubstitute:
         with pytest.raises(NonUniqueArgmin):
             back_substitute(run, yhat)
 
+    def test_root_minimizer_of_wrong_length_is_rejected(self):
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
+        run = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
+        _, yhat, _ = local_solve(run)
+        for bad in (yhat[:-1], np.append(yhat, 0.0)):
+            with pytest.raises(ValueError, match="root minimizer has length"):
+                back_substitute(run, bad)
+
 
 class TestCentralizedSolve:
     def test_all_zero_quadratics(self):

@@ -255,7 +255,7 @@ class TestBAlpha:
         dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 1)
         prof = jet_profile(inst.cover, inst.quads, dt, 0)
         assert b_alpha(prof) == -2
-        assert b_alpha(prof, definition_literal=True) == 0
+        assert prof.d_jet == 0
 
     def test_constant_message_without_eliminations(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -304,7 +304,7 @@ class TestInsolubilityCheck:
         stree = spanning_tree(build_nerve(inst.cover), "bfs", inst.cover)
         dt = direct_tree(stree, 0)
         prof = jet_profile(inst.cover, quads, dt, 1)
-        ba_lit = b_alpha(prof, definition_literal=True)
+        ba_lit = prof.d_jet
         s_i = len(inst.cover.observables[1])
         assert ba_lit >= s_i  # full-rank leaf under the literal convention
         assert not (s_i - ba_lit > len(s_order) - task.dim_m)

@@ -62,7 +62,7 @@ class TestFitQuadraticLS:
         q = QuadFunc((0, 1, 2, 3), G @ G.T / 4 + 0.2 * np.eye(4), rng.standard_normal(4), -1.3)
         m = quad_coeff_count(4)
         ss = sample_message(q.evaluate_batch, [(-3, 3)] * 4, m + 10, 2, variables=q.vars)
-        fit = fit_surrogate(ss, "quadratic_ls", ApproxConfig(), 0)
+        fit = fit_surrogate(ss, ApproxConfig(kind="quadratic_ls"), 0)
         assert isinstance(fit, QuadSurrogate)
         assert np.max(np.abs(fit.quad.A - q.A)) <= 1e-6
         assert np.max(np.abs(fit.quad.b - q.b)) <= 1e-6
@@ -71,27 +71,27 @@ class TestFitQuadraticLS:
     def test_constant_samples_give_constant_surrogate(self):
         ss = sample_message(lambda X: np.full(X.shape[0], 2.5), [(-1, 1)] * 2, 20, 4,
                             variables=(0, 1))
-        fit = fit_surrogate(ss, "quadratic_ls", ApproxConfig(), 0)
+        fit = fit_surrogate(ss, ApproxConfig(kind="quadratic_ls"), 0)
         probe = np.array([[0.3, -0.4], [0.9, 0.1]])
         assert np.max(np.abs(fit.evaluate_batch(probe) - 2.5)) <= 1e-8
 
     def test_too_few_samples_raise(self):
         ss = sample_message(lambda X: X[:, 0] ** 2, [(-1, 1)] * 3, 5, 0, variables=(0, 1, 2))
         with pytest.raises(SingularFit):
-            fit_surrogate(ss, "quadratic_ls", ApproxConfig(), 0)
+            fit_surrogate(ss, ApproxConfig(kind="quadratic_ls"), 0)
 
     def test_degenerate_design_raises(self):
         inputs = np.zeros((20, 2))  # all samples identical
         ss = SampleSet(variables=(0, 1), box=((-1, 1), (-1, 1)),
                        inputs=inputs, outputs=np.zeros(20))
         with pytest.raises(SingularFit):
-            fit_surrogate(ss, "quadratic_ls", ApproxConfig(), 0)
+            fit_surrogate(ss, ApproxConfig(kind="quadratic_ls"), 0)
 
 
 class TestFitMLP:
     def test_square_fit_under_pilot_tolerance(self):
         ss = sample_message(lambda X: X[:, 0] ** 2, [(-2, 2)], 80, 42, variables=(0,))
-        fit = fit_surrogate(ss, "one_hidden_layer", ApproxConfig(), 7)
+        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 7)
         assert isinstance(fit, MLPSurrogate)
         grid = np.linspace(-2.0, 2.0, 100)[:, None]
         err = np.max(np.abs(fit.evaluate_batch(grid) - grid[:, 0] ** 2))
@@ -100,7 +100,7 @@ class TestFitMLP:
     def test_constant_samples_give_constant_surrogate(self):
         ss = sample_message(lambda X: np.full(X.shape[0], -4.0), [(-1, 1)], 30, 1,
                             variables=(0,))
-        fit = fit_surrogate(ss, "one_hidden_layer", ApproxConfig(), 0)
+        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 0)
         assert fit.fit_residual <= 1e-6  # interpolates the constant samples
         probe = np.linspace(-1, 1, 11)[:, None]
         # small wiggle between samples is inherent to the interpolation
@@ -109,7 +109,7 @@ class TestFitMLP:
     def test_analytic_gradient_matches_finite_differences(self):
         ss = sample_message(lambda X: X[:, 0] ** 2 + 0.5 * X[:, 1], [(-2, 2)] * 2, 80, 9,
                             variables=(0, 1))
-        fit = fit_surrogate(ss, "one_hidden_layer", ApproxConfig(epochs=500), 3)
+        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer", epochs=500), 3)
         X = np.array([[0.4, -0.9], [-1.2, 1.1]])
         g = fit.gradient_batch(X)
         for d in range(2):
