@@ -7,6 +7,7 @@ All objects are immutable values after construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,12 +188,12 @@ class EdgePartition:
 
 
 def build_nerve(cover: SubgraphCover) -> NerveSkeleton:
-    edges = []
-    for i in range(cover.t):
-        for j in range(i + 1, cover.t):
-            if cover.node_set(i) & cover.node_set(j):
-                edges.append((i, j))
-    return NerveSkeleton(t=cover.t, edges=tuple(edges))
+    """Edges (i, j), i < j, sorted: the subgraph pairs sharing some node."""
+    edges = set()
+    for ids in cover._node_subgraphs.values():
+        if len(ids) > 1:
+            edges.update(itertools.combinations(ids, 2))
+    return NerveSkeleton(t=cover.t, edges=tuple(sorted(edges)))
 
 
 class _UnionFind:

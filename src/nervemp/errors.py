@@ -26,11 +26,17 @@ class UnknownVariable(NerveMPError):
 
 
 class UnboundedBelow(NerveMPError):
-    """The minimum is -inf along a kernel direction of the quadratic."""
+    """The minimum is -inf along a kernel or negative direction of the quadratic.
 
-    def __init__(self, message, edge=None):
+    `block_size` and `min_eig` describe the eliminated block that showed it;
+    `edge` is the tree edge whose message was being formed, if any.
+    """
+
+    def __init__(self, message, edge=None, block_size=None, min_eig=None):
         super().__init__(message)
         self.edge = edge
+        self.block_size = block_size
+        self.min_eig = min_eig
 
 
 class NonUniqueArgmin(NerveMPError):

@@ -84,7 +84,11 @@ def run_message_passing(
             msg, amap = h.partial_minimize(v for v in part.y_vars if v in h.vars)
         except UnboundedBelow as exc:
             raise UnboundedBelow(
-                f"message along edge ({i} -> {j}) is unbounded below", edge=(i, j)
+                f"message along edge ({i} -> {j}) is unbounded below: eliminating "
+                f"{exc.block_size} variables, block smallest eigenvalue {exc.min_eig:.6g}",
+                edge=(i, j),
+                block_size=exc.block_size,
+                min_eig=exc.min_eig,
             ) from exc
         messages[i] = msg
         records[(i, j)] = EdgeRecord(edge=(i, j), partition=part, argmin=amap)

@@ -19,8 +19,19 @@ two-term cases).  `_eliminate`, behind `partial_minimize` and
 `global_minimize`, does one `eigh` of the eliminated block for its
 pseudoinverse, smallest eigenvalue, singular flag and kernel, and for the
 unboundedness test.  It owns the elimination tolerances RANK_RCOND and
-UNBOUNDED_TOL; SYM_TOL and PSD_TOL bound what a constructed quadratic may
-carry.
+UNBOUNDED_TOL.
+
+Inputs are validated once, at the boundary.  The public constructor checks
+distinct variables, finite coefficients, symmetry to SYM_TOL and PSD to
+PSD_TOL.  Sums, principal submatrices and Schur complements of PSD matrices
+are PSD, so the quadratics that `quad_sum`, `fix_vars` and
+`partial_minimize` build from existing ones skip the symmetry and PSD
+tests (they are exactly symmetric); only their finiteness is checked.  PSD
+is checked, to the same PSD_TOL, on every block `_eliminate` factors, and
+an indefinite block raises UnboundedBelow.  By Haynsworth's inertia
+additivity, inertia(H) = inertia(H_yy) + inertia(H / H_yy) for a
+nonsingular H_yy, so a negative direction of an intermediate reaches some
+eliminated block or the final `global_minimize`.
 """
 
 from __future__ import annotations
@@ -74,8 +85,27 @@ class ArgminMap:
         return dict(zip(self.eliminated, y.tolist()))
 
 
+def _finite(A: np.ndarray, b: np.ndarray, c) -> float:
+    c = float(c)
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c)):
+        raise ValueError("A, b and c must be finite")
+    return c
+
+
+def _indefinite(w: np.ndarray) -> bool:
+    """Ascending eigenvalues w reach below -PSD_TOL * (1 + sigma_max)."""
+    return w[0] < -PSD_TOL * (1.0 + max(abs(w[0]), abs(w[-1])))
+
+
 class QuadFunc:
-    """q(x) = x'Ax + b'x + c over an ordered tuple of variables."""
+    """q(x) = x'Ax + b'x + c over an ordered tuple of variables.
+
+    The constructor rejects duplicate variables, non-finite coefficients,
+    asymmetry beyond SYM_TOL and a negative eigenvalue beyond PSD_TOL, and
+    stores the symmetrized A.  What this module derives from constructed
+    quadratics comes from `_trusted`, which checks finiteness only; PSD_TOL
+    is then enforced where `_eliminate` factors a block.
+    """
 
     __slots__ = ("vars", "A", "b", "c")
 
@@ -86,21 +116,32 @@ class QuadFunc:
         n = len(variables)
         A = np.asarray(A, dtype=float).reshape(n, n)
         b = np.asarray(b, dtype=float).reshape(n)
-        c = float(c)
-        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c)):
-            raise ValueError("A, b and c must be finite")
+        c = _finite(A, b, c)
         if n and np.max(np.abs(A - A.T)) > SYM_TOL:
             raise ValueError("A is asymmetric beyond tolerance")
         A = _sym(A)
         if n:
             w = np.linalg.eigvalsh(A)
-            norm2 = max(abs(w[0]), abs(w[-1]))
-            if w[0] < -PSD_TOL * (1.0 + norm2):
+            if _indefinite(w):
                 raise ValueError(f"A is not positive semidefinite (lambda_min={w[0]:g})")
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._set(variables, A, b, c)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, A: np.ndarray, b: np.ndarray, c) -> "QuadFunc":
+        """A quadratic this module derived from constructed ones.
+
+        `variables` are distinct and A is an exactly symmetric float array,
+        as a scatter-add of symmetric blocks, a principal submatrix and a
+        symmetrized Schur complement are; only finiteness is checked (a sum
+        can overflow, a fixed value can be NaN).
+        """
+        q = object.__new__(cls)
+        q._set(variables, A, b, _finite(A, b, c))
+        return q
+
+    def _set(self, variables, A, b, c):
+        for name, value in zip(self.__slots__, (variables, A, b, c)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # value semantics: immutable
         raise AttributeError("QuadFunc is immutable")
@@ -141,32 +182,32 @@ class QuadFunc:
         return self.add(other)
 
     def fix_vars(self, fixed: Mapping) -> "QuadFunc":
-        unknown = [v for v in fixed if v not in self.vars]
+        known = set(self.vars)
+        unknown = [v for v in fixed if v not in known]
         if unknown:
             raise UnknownVariable(f"cannot fix unknown variables {unknown}")
-        keep = [v for v in self.vars if v not in fixed]
-        ki = [self.vars.index(v) for v in keep]
-        fi = [self.vars.index(v) for v in self.vars if v in fixed]
+        ki = [i for i, v in enumerate(self.vars) if v not in fixed]
+        fi = [i for i, v in enumerate(self.vars) if v in fixed]
         f = np.array([float(fixed[self.vars[i]]) for i in fi])
         A_kk = self.A[np.ix_(ki, ki)]
         A_kf = self.A[np.ix_(ki, fi)]
         A_ff = self.A[np.ix_(fi, fi)]
         b_new = self.b[ki] + 2.0 * A_kf @ f
         c_new = float(f @ A_ff @ f + self.b[fi] @ f + self.c)
-        return QuadFunc(tuple(keep), A_kk, b_new, c_new)
+        return QuadFunc._trusted(tuple(self.vars[i] for i in ki), A_kk, b_new, c_new)
 
     def partial_minimize(self, elim: Iterable) -> tuple["QuadFunc", ArgminMap]:
         elim = set(elim)
         unknown = elim - set(self.vars)
         if unknown:
             raise UnknownVariable(f"cannot eliminate unknown variables {sorted(unknown)}")
-        keep = tuple(v for v in self.vars if v not in elim)
-        ys = tuple(v for v in self.vars if v in elim)
+        xi = [i for i, v in enumerate(self.vars) if v not in elim]
+        yi = [i for i, v in enumerate(self.vars) if v in elim]
+        keep = tuple(self.vars[i] for i in xi)
+        ys = tuple(self.vars[i] for i in yi)
         if not ys:
             amap = ArgminMap((), keep, np.zeros((0, len(keep))), np.zeros(0))
             return self, amap
-        xi = [self.vars.index(v) for v in keep]
-        yi = [self.vars.index(v) for v in ys]
         A_xx = self.A[np.ix_(xi, xi)]
         A_xy = self.A[np.ix_(xi, yi)]
         A_yy = self.A[np.ix_(yi, yi)]
@@ -179,7 +220,7 @@ class QuadFunc:
         M = -P @ A_xy.T
         m = -0.5 * P @ b_y
         amap = ArgminMap(ys, keep, M, m, min_eig, singular)
-        return QuadFunc(keep, A_new, b_new, c_new), amap
+        return QuadFunc._trusted(keep, A_new, b_new, c_new), amap
 
     def global_minimize(self) -> tuple[float, np.ndarray, np.ndarray]:
         """Minimum value, minimum-norm minimizer, and kernel basis of A.
@@ -201,18 +242,23 @@ def _eliminate(A_yy: np.ndarray, b_y: np.ndarray, b_norm: float):
 
     Returns (P, kernel, min_eig, singular).  Eigenvalues within
     RANK_RCOND * sigma_max of zero span the kernel and are dropped from the
-    pseudoinverse P.  Raises UnboundedBelow when b_y has a kernel component
-    larger than UNBOUNDED_TOL * (1 + b_norm), b_norm being the norm of the
-    whole linear term.
+    pseudoinverse P.  Raises UnboundedBelow when the block is indefinite
+    (its smallest eigenvalue lies below -PSD_TOL * (1 + sigma_max)) or when
+    b_y has a kernel component larger than UNBOUNDED_TOL * (1 + b_norm),
+    b_norm being the norm of the whole linear term.
     """
     w, V = np.linalg.eigh(A_yy)
+    block = {"block_size": len(w), "min_eig": float(w[0])}
+    if _indefinite(w):
+        raise UnboundedBelow("minimum is -inf: the eliminated block is indefinite", **block)
     cutoff = RANK_RCOND * max(abs(w[0]), abs(w[-1]))
     live = np.abs(w) > cutoff
     kernel = V[:, ~live]
     if np.linalg.norm(kernel.T @ b_y) > UNBOUNDED_TOL * (1.0 + b_norm):
         raise UnboundedBelow(
             "minimum is -inf: the linear term has a component in the kernel "
-            "of the eliminated block"
+            "of the eliminated block",
+            **block,
         )
     # Scaling V in one temporary keeps the peak at three blocks: V, V / w, P.
     P = (V * np.divide(1.0, w, out=np.zeros_like(w), where=live)) @ V.T
@@ -234,6 +280,8 @@ def quad_sum(terms: Iterable[QuadFunc], variables: Iterable | None = None) -> Qu
     variables = tuple(variables)
     pos = {v: i for i, v in enumerate(variables)}
     n = len(variables)
+    if len(pos) != n:
+        raise ValueError(f"duplicate variables in {variables}")
     A = np.zeros((n, n))
     b = np.zeros(n)
     c = 0.0
@@ -245,7 +293,7 @@ def quad_sum(terms: Iterable[QuadFunc], variables: Iterable | None = None) -> Qu
         A[np.ix_(idx, idx)] += q.A
         b[idx] += q.b
         c += q.c
-    return QuadFunc(variables, A, b, c)
+    return QuadFunc._trusted(variables, A, b, c)
 
 
 def subspace_distance_quad(vectors: Sequence, variables: Iterable) -> QuadFunc:

@@ -6,6 +6,7 @@ is carried along as a z-variable and eliminated one hop later.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nervemp.bench import fixture_eg32, fixture_triangle, gen_random_cover
 from nervemp.cover import (
@@ -57,6 +58,16 @@ class TestCoverValidation:
         assert cover.s_order == ()
 
 
+def _pairwise_nerve(cover):
+    """The nerve by definition: every subgraph pair (i < j) that intersects."""
+    return tuple(
+        (i, j)
+        for i in range(cover.t)
+        for j in range(i + 1, cover.t)
+        if cover.node_set(i) & cover.node_set(j)
+    )
+
+
 class TestBuildNerve:
     def test_three_pairwise_overlaps_give_complete_graph(self):
         cover = fixture_triangle().cover
@@ -78,6 +89,23 @@ class TestBuildNerve:
                 if any(v in cover.node_set(j) for v in cover.subgraphs[i]):
                     expected.add((i, j))
         assert set(nerve.edges) == expected
+
+    def test_equals_pairwise_definition_on_eg32(self):
+        cover = fixture_eg32().cover
+        assert build_nerve(cover).edges == _pairwise_nerve(cover)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_equals_pairwise_definition_on_random_covers(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        t = data.draw(st.integers(min_value=1, max_value=12))
+        member = data.draw(st.lists(
+            st.sets(st.integers(min_value=0, max_value=t - 1), min_size=1),
+            min_size=n, max_size=n,
+        ))
+        subgraphs = [[v for v in range(n) if i in member[v]] for i in range(t)]
+        cover = SubgraphCover(Graph(n, []), subgraphs, [()] * t)
+        assert build_nerve(cover).edges == _pairwise_nerve(cover)
 
     def test_relabeling_symmetry(self):
         cover = gen_random_cover(5, seed=9)

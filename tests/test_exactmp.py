@@ -134,6 +134,24 @@ class TestRunMessagePassing:
             run_message_passing(cover, quads, {}, dt)
         assert exc_info.value.edge == (0, 1)
 
+    def test_unbounded_names_the_edge_and_the_block(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        cover = SubgraphCover(g, [(0, 1, 2), (2, 3)], [(), ()])
+        # nodes 0 and 1 are private to the leaf; node 1 has curvature far
+        # below the singular cutoff and a linear term, so min over it is -inf
+        quads = (
+            QuadFunc((0, 1, 2), np.diag([2.0, 1e-12, 1.0]), [0.0, 1.0, 0.0], 0.0),
+            QuadFunc((2, 3), np.eye(2), np.zeros(2), 0.0),
+        )
+        dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 1)
+        with pytest.raises(UnboundedBelow) as exc_info:
+            run_message_passing(cover, quads, {}, dt)
+        exc = exc_info.value
+        assert (exc.edge, exc.block_size, exc.min_eig) == ((0, 1), 2, 1e-12)
+        assert "(0 -> 1)" in str(exc)
+        assert "eliminating 2 variables" in str(exc)
+        assert "smallest eigenvalue 1e-12" in str(exc)
+
 
 class TestLocalSolve:
     def test_strictly_convex_unique(self):
@@ -318,6 +336,32 @@ class TestRunReport:
         run2 = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
         for i in run1.messages:
             assert message_digest(run1.messages[i]) == message_digest(run2.messages[i])
+
+
+FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+                  "lstsq", "pinv", "qr", "solve", "svd")
+
+
+def test_exact_pipeline_factors_each_block_once(monkeypatch):
+    """Messages are not re-validated: run_message_passing, local_solve and
+    back_substitute make no eigvalsh call and one eigh per tree edge plus
+    one for the root, and no other factorization."""
+    cover = gen_random_cover(50, 1, extra_edge_prob=2 / 50)
+    quads = regularize(gen_random_quads(cover, 2), 1e-3, 3)
+    obs = gen_random_observations(cover, 4)
+    dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
+    calls = Counter()
+    for name in FACTORIZATIONS:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    run = run_message_passing(cover, quads, obs, dt)
+    _, yhat, _ = local_solve(run)
+    back_substitute(run, yhat)
+    assert calls["eigvalsh"] == 0
+    assert calls["eigh"] <= len(dt.edges) + 1
+    assert set(calls) <= {"eigh"}
 
 
 def _coeffs(q):

@@ -16,7 +16,7 @@ from nervemp.errors import (
     UnboundedBelow,
     UnknownVariable,
 )
-from nervemp.quadform import QuadFunc, quad_sum, subspace_distance_quad
+from nervemp.quadform import PSD_TOL, QuadFunc, quad_sum, subspace_distance_quad
 
 
 def random_psd(n, rng, ridge=0.1):
@@ -412,8 +412,9 @@ def test_psd_closure_of_schur(seed):
     A = G @ G.T / n
     q = QuadFunc(tuple(range(n)), (A + A.T) / 2.0, A @ rng.standard_normal(n), 0.0)
     elim = list(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-    msg, _ = q.partial_minimize(elim)  # constructor asserts PSD
-    assert isinstance(msg, QuadFunc)
+    msg, _ = q.partial_minimize(elim)
+    w = np.linalg.eigvalsh(msg.A)
+    assert w[0] >= -PSD_TOL * (1.0 + max(abs(w[0]), abs(w[-1])))
 
 
 @settings(max_examples=15, deadline=None)
@@ -458,3 +459,59 @@ class TestConstructionInvariants:
         q = QuadFunc((0,), [[1.0]], [0.0], 0.0)
         with pytest.raises(AttributeError):
             q.c = 5.0
+
+
+class TestDerivedQuadratics:
+    """What quad_sum, fix_vars and partial_minimize build skips the symmetry
+    and PSD tests; PSD is enforced on each block that is eliminated."""
+
+    def test_indefinite_block_is_unbounded_below(self):
+        q = QuadFunc._trusted((0, 1, 2), np.diag([1.0, -0.5, 2.0]), np.zeros(3), 0.0)
+        with pytest.raises(UnboundedBelow, match="indefinite") as exc_info:
+            q.partial_minimize([1, 2])
+        assert exc_info.value.block_size == 2 and exc_info.value.min_eig == -0.5
+        with pytest.raises(UnboundedBelow, match="indefinite") as exc_info:
+            q.global_minimize()
+        assert exc_info.value.block_size == 3 and exc_info.value.min_eig == -0.5
+
+    def test_rounding_level_negative_eigenvalue_is_accepted(self):
+        q = QuadFunc._trusted((0, 1), np.diag([1.0, -1e-12]), np.zeros(2), 0.0)
+        _, amap = q.partial_minimize([1])
+        assert amap.singular
+        assert q.global_minimize()[0] == 0.0
+
+    def test_duplicate_named_variables_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            quad_sum([QuadFunc((0,), [[1.0]], [0.0], 0.0)], (0, 1, 0))
+
+    def test_fixing_a_nan_rejected(self):
+        q = QuadFunc((0, 1), np.eye(2), np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.fix_vars({0: np.nan})
+
+    def test_overflowing_sum_rejected(self):
+        q = QuadFunc((0,), [[1.0]], [0.0], 1e308)
+        with pytest.raises(ValueError, match="finite"):
+            quad_sum([q, q])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_derived_quadratics_equal_the_validated_constructor_bitwise(seed):
+    """Sums, fixings and Schur complements are exactly symmetric, so the
+    public constructor (symmetrize, check PSD) would store the same bits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    p = random_quad(n, rng)
+    q = random_quad(n, rng)
+    q = QuadFunc(tuple(range(1, n + 1)), q.A, q.b, q.c)
+    total = quad_sum([p, q])
+    picks = [int(v) for v in rng.permutation(total.vars)]
+    k = int(rng.integers(1, n))
+    fixed = total.fix_vars({v: float(rng.standard_normal()) for v in picks[:k]})
+    msg, _ = total.partial_minimize(picks[k:2 * k])
+    for r in (total, fixed, msg):
+        checked = QuadFunc(r.vars, r.A, r.b, r.c)
+        assert np.array_equal(r.A, r.A.T)
+        assert np.array_equal(checked.A, r.A) and np.array_equal(checked.b, r.b)
+        assert checked.c == r.c
