@@ -16,7 +16,6 @@ from .cover import (
     SubgraphCover,
     build_nerve,
     direct_tree,
-    partition_variables,
     spanning_tree,
 )
 from .errors import (
@@ -119,7 +118,6 @@ __all__ = [
     "load_instance",
     "local_solve",
     "objective_task",
-    "partition_variables",
     "regularize",
     "run_message_passing",
     "sample_message",

@@ -82,11 +82,10 @@ def gen_random_cover(
     t: int,
     seed: int,
     extra_edge_prob: float = 0.25,
-    shared_range: tuple[int, int] = (1, 2),
     y_range: tuple[int, int] = (1, 2),
     s_range: tuple[int, int] = (1, 2),
 ) -> SubgraphCover:
-    """Random connected cover with pairwise-shared intersection nodes."""
+    """Random connected cover; each nerve edge gets one or two shared nodes."""
     rng = np.random.default_rng(seed)
     nerve_edges = set()
     for i in range(1, t):
@@ -98,7 +97,7 @@ def gen_random_cover(
     members: dict[int, list[int]] = {i: [] for i in range(t)}
     next_id = 0
     for i, j in sorted(nerve_edges):
-        for _ in range(int(rng.integers(shared_range[0], shared_range[1] + 1))):
+        for _ in range(int(rng.integers(1, 3))):
             members[i].append(next_id)
             members[j].append(next_id)
             next_id += 1

@@ -1,8 +1,9 @@
 """Command-line entry point binding generators, engines and analyzers.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure (unbounded /
-ill-defined / failed fit or descent), 4 internal assertion.  Every source
-of randomness requires an explicit --seed; there is no wall-clock seeding.
+Exit codes: 0 success, 2 invalid input (a file that cannot be read or
+written included), 3 numerical failure (unbounded / ill-defined / failed
+fit or descent), 4 internal assertion.  Every source of randomness
+requires an explicit --seed; there is no wall-clock seeding.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench
@@ -37,7 +37,7 @@ from .exactmp import (
     regularize,
     run_message_passing,
 )
-from .instancefile import Instance, load_instance, save_instance
+from .instancefile import load_instance, save_instance
 from .solubility import analysis_record, objective_task
 from .surrogate import ApproxConfig, approx_message_passing, error_ratio
 
@@ -49,6 +49,7 @@ _INVALID_INPUT = (
     UnknownVariable,
     DimensionMismatch,
     ValueError,
+    OSError,
 )
 _NUMERICAL = (
     UnboundedBelow,
@@ -140,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: str) -> Instance:
-    if not Path(path).exists():
-        raise InvalidInstance(f"instance file {path} does not exist")
-    return load_instance(path)
-
-
 def _tree_for(instance, args):
     strategy = args.tree.replace("-", "_")
     if strategy == "random" and args.seed is None:
@@ -197,7 +192,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run_exact(args) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(args.instance)
     if instance.observations is None:
         raise InvalidInstance("instance carries no observations")
     quads = instance.quads
@@ -226,7 +221,7 @@ def _cmd_run_exact(args) -> int:
         "aggregated_vars": [int(v) for v in run.aggregated.vars],
         "minimizer": minimizer,
         "kernel_dim": kdim,
-        "surviving_foreign_vars": [int(v) for v in run.report["surviving_foreign_vars"]],
+        "surviving_foreign_vars": [int(v) for v in run.surviving_foreign_vars],
         "edge_digests": [
             [int(i), int(j), message_digest(run.messages[i])]
             for (i, j) in sorted(run.edge_records)
@@ -238,7 +233,7 @@ def _cmd_run_exact(args) -> int:
 
 
 def _cmd_run_approx(args) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(args.instance)
     if instance.observations is None:
         raise InvalidInstance("instance carries no observations")
     quads = instance.quads
@@ -275,7 +270,7 @@ def _cmd_run_approx(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(args.instance)
     if args.task == "objective":
         task = objective_task()
     else:

@@ -180,7 +180,6 @@ class DirectedTree:
 class EdgePartition:
     """Variable split (s, x, y, z) of the function held at an edge's tail."""
 
-    edge: tuple[int, int]
     s_vars: tuple[int, ...]
     x_vars: tuple[int, ...]
     y_vars: tuple[int, ...]
@@ -314,7 +313,7 @@ def direct_tree(stree: SpanningTree, root: int) -> DirectedTree:
 
 
 def compute_partitions(cover: SubgraphCover, dtree: DirectedTree) -> dict:
-    """EdgePartition for every directed edge of the tree.
+    """EdgePartition for every directed edge of the tree, keyed by (tail, head).
 
     For edge (g_i -> g_j):
       s = S_i;
@@ -354,33 +353,9 @@ def compute_partitions(cover: SubgraphCover, dtree: DirectedTree) -> dict:
         )
         z_set = frozenset(live[i]) - s_set - x_set - y_set
         partitions[(i, j)] = EdgePartition(
-            edge=(i, j),
             s_vars=tuple(sorted(s_set)),
             x_vars=tuple(sorted(x_set)),
             y_vars=tuple(sorted(y_set)),
             z_vars=tuple(sorted(z_set)),
         )
     return partitions
-
-
-def partition_variables(
-    cover: SubgraphCover, dtree: DirectedTree, edge: tuple[int, int]
-) -> EdgePartition:
-    parts = compute_partitions(cover, dtree)
-    if edge not in parts:
-        raise ValueError(f"edge {edge} is not a directed tree edge")
-    return parts[edge]
-
-
-def held_variables(cover: SubgraphCover, dtree: DirectedTree, node: int) -> tuple[int, ...]:
-    """Variables of the function held at `node` during message passing,
-    before the node's own observables are fixed."""
-    partitions = compute_partitions(cover, dtree)
-    live: dict[int, set] = {}
-    for i in dtree.postorder():
-        vs = set(cover.node_set(i))
-        for c in dtree.children[i]:
-            part = partitions[(c, i)]
-            vs.update(live[c] - set(part.s_vars) - set(part.y_vars))
-        live[i] = vs
-    return tuple(sorted(live[node]))

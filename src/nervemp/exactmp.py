@@ -25,13 +25,8 @@ from .quadform import ArgminMap, QuadFunc, quad_sum
 class EdgeRecord:
     """What happened when one message crossed one directed edge."""
 
-    edge: tuple[int, int]
     partition: EdgePartition
     argmin: ArgminMap
-
-    @property
-    def yy_min_eig(self) -> float:
-        return self.argmin.min_eig
 
     @property
     def singular(self) -> bool:
@@ -46,9 +41,9 @@ class MessagePassingRun:
     dtree: DirectedTree
     observations: dict
     messages: dict
-    edge_records: dict
+    edge_records: dict  # (tail, head) -> EdgeRecord
     aggregated: QuadFunc
-    report: dict
+    surviving_foreign_vars: tuple  # aggregated vars outside the root's subgraph
 
 
 def _fix_observations(q: QuadFunc, obs: Mapping, nodes) -> QuadFunc:
@@ -91,10 +86,8 @@ def run_message_passing(
                 min_eig=exc.min_eig,
             ) from exc
         messages[i] = msg
-        records[(i, j)] = EdgeRecord(edge=(i, j), partition=part, argmin=amap)
+        records[(i, j)] = EdgeRecord(partition=part, argmin=amap)
     assert len(records) == len(dtree.edges), "one message must cross each tree edge"
-    surviving = tuple(v for v in aggregated.vars if v not in cover.node_set(dtree.root))
-    report = {"root": dtree.root, "surviving_foreign_vars": surviving}
     return MessagePassingRun(
         cover=cover,
         dtree=dtree,
@@ -102,7 +95,9 @@ def run_message_passing(
         messages=messages,
         edge_records=records,
         aggregated=aggregated,
-        report=report,
+        surviving_foreign_vars=tuple(
+            v for v in aggregated.vars if v not in cover.node_set(dtree.root)
+        ),
     )
 
 
@@ -118,11 +113,9 @@ def back_substitute(run: MessagePassingRun, yhat_root: np.ndarray) -> np.ndarray
     Recovers every eliminated variable and returns the full signal over V.
     Requires every elimination block to have been nonsingular.
     """
-    for rec in run.edge_records.values():
+    for edge, rec in run.edge_records.items():
         if rec.singular:
-            raise NonUniqueArgmin(
-                f"elimination block at edge {rec.edge} was singular"
-            )
+            raise NonUniqueArgmin(f"elimination block at edge {edge} was singular")
     y = np.asarray(yhat_root, dtype=float).reshape(-1)
     if y.shape[0] != len(run.aggregated.vars):
         raise ValueError(
@@ -138,9 +131,9 @@ def back_substitute(run: MessagePassingRun, yhat_root: np.ndarray) -> np.ndarray
     # Nodes absent from every local quadratic are free with no objective;
     # the minimum-norm convention places them at zero, like the
     # centralized solver.
-    touched = set()
-    for q in (run.messages[c] for c in run.dtree.nodes):
-        touched.update(q.vars)
+    touched = set(run.aggregated.vars)
+    for rec in run.edge_records.values():
+        touched.update(rec.argmin.inputs)
     out = np.empty(run.cover.graph.n)
     for v in run.cover.graph.nodes:
         if v not in assign:

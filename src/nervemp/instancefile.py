@@ -46,8 +46,17 @@ def _quad_payload(q: QuadFunc) -> dict:
     }
 
 
+def _node_ids(values, where: str) -> list:
+    """`values` as a list, each entry a JSON integer (a bool is not)."""
+    ids = list(values)
+    for k, v in enumerate(ids):
+        if type(v) is not int:
+            raise InvalidInstance(f"{where} entry {k} is not an integer node id: {v!r}")
+    return ids
+
+
 def _quad_from_payload(payload: dict, index: int) -> QuadFunc:
-    variables = tuple(payload["vars"])
+    variables = tuple(_node_ids(payload["vars"], f"quadratic {index} vars"))
     n = len(variables)
     A = np.zeros((n, n))
     for i, j, v in payload["A"]:
@@ -95,9 +104,11 @@ def to_payload(instance: Instance) -> dict:
 def from_payload(payload: dict) -> Instance:
     try:
         n = int(payload["nodes"])
-        edges = [tuple(e) for e in payload["edges"]]
-        subgraphs = payload["subgraphs"]
-        observables = payload["observables"]
+        edges = [tuple(_node_ids(e, f"edge {k}")) for k, e in enumerate(payload["edges"])]
+        subgraphs = [_node_ids(s, f"subgraph {i}") for i, s in enumerate(payload["subgraphs"])]
+        observables = [
+            _node_ids(s, f"observable set {i}") for i, s in enumerate(payload["observables"])
+        ]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"malformed instance payload: {exc}") from exc
     graph = Graph(n, edges)
@@ -143,12 +154,16 @@ def from_payload(payload: dict) -> Instance:
     if "observations" in payload:
         observations = {}
         for k, (v, val) in enumerate(payload["observations"]):
+            if type(v) is not int:
+                raise InvalidInstance(f"observation {k} names {v!r}, not an integer node id")
+            if v in observations:
+                raise InvalidInstance(f"observation {k} observes node {v} a second time")
             if not (0 <= v < n):
                 raise InvalidInstance(f"observation {k} names undeclared node {v}")
             val = float(val)
             if not math.isfinite(val):
                 raise InvalidInstance(f"observation {k} at node {v} is not finite: {val!r}")
-            observations[int(v)] = val
+            observations[v] = val
     return Instance(cover=cover, quads=tuple(quads), task=task, observations=observations)
 
 

@@ -38,6 +38,7 @@ DESCENT_STEPS = 5000
 STEP0 = 1.0
 INNER_RESTARTS = 2
 HIDDEN_WIDTH = 64
+EPOCHS = 4000
 LEARNING_RATE = 1e-1
 MOMENTUM = 0.9
 ERROR_RATIO_FLOOR = 1e-6
@@ -124,15 +125,14 @@ class SampleSet:
 class ApproxConfig:
     """One approximate run: `m` samples per edge, surrogate `kind`
     ("quadratic_ls" or "one_hidden_layer"), sampling `box_radius`, root
-    descent `restarts`, network training `epochs` and root `seed`.  The rest
-    of the recipe is the module constants DESCENT_STEPS, STEP0,
-    INNER_RESTARTS, HIDDEN_WIDTH, LEARNING_RATE and MOMENTUM."""
+    descent `restarts` and root `seed`.  The rest of the recipe is the
+    module constants DESCENT_STEPS, STEP0, INNER_RESTARTS, HIDDEN_WIDTH,
+    EPOCHS, LEARNING_RATE and MOMENTUM."""
 
     m: int = 80
     kind: str = "quadratic_ls"
     box_radius: float = 5.0
     restarts: int = 8
-    epochs: int = 4000
     seed: int = 0
 
     def __post_init__(self):
@@ -258,7 +258,7 @@ def _fit_quadratic_ls(samples: SampleSet) -> QuadSurrogate:
     return QuadSurrogate(variables=samples.variables, quad=quad, fit_residual=resid)
 
 
-def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
+def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
     X = samples.inputs
     y = samples.outputs
     d = X.shape[1]
@@ -287,7 +287,7 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
     lr = LEARNING_RATE
     mom = MOMENTUM
     loss = float("inf")
-    for _ in range(config.epochs):
+    for _ in range(EPOCHS):
         # Nesterov lookahead: gradient at the momentum-extrapolated point.
         lW1, lb1, lW2, lb2 = W1 + mom * vW1, b1 + mom * vb1, W2 + mom * vW2, b2 + mom * vb2
         pre = Z @ lW1 + lb1
@@ -316,7 +316,7 @@ def _fit_mlp(samples: SampleSet, config: ApproxConfig, seed) -> MLPSurrogate:
         x_mean=x_mean, x_scale=x_scale,
         y_mean=y_mean, y_scale=y_scale,
         fit_residual=float(np.sqrt(loss)) * y_scale,
-        epochs=config.epochs,
+        epochs=EPOCHS,
     )
 
 
@@ -324,7 +324,7 @@ def fit_surrogate(samples: SampleSet, config: ApproxConfig, seed):
     """Fit the surrogate of kind `config.kind` to the samples."""
     if config.kind == "quadratic_ls":
         return _fit_quadratic_ls(samples)
-    return _fit_mlp(samples, config, seed)
+    return _fit_mlp(samples, seed)
 
 
 class _NodeObjective:
@@ -548,13 +548,7 @@ def approx_message_passing(
             )
             value = float(vals[0])
             yhat = dict(zip(variables, pts[0].tolist())) if pts is not None else {}
-            diagnostics = {
-                "edges": edge_diag,
-                "exchanges": len(edge_diag),
-                "root_dim": len(variables),
-                "root_restarts": config.restarts if objective.has_mlp else 0,
-            }
-            return value, yhat, diagnostics
+            return value, yhat, {"edges": edge_diag, "exchanges": len(edge_diag)}
         j = dtree.parent[i]
         part = partitions[(i, j)]
         retained = tuple(sorted(set(part.x_vars) | set(part.z_vars)))

@@ -283,8 +283,8 @@ def test_criterion_7_morse_regularization():
                     unbounded += 1
                     continue
                 for rec in run.edge_records.values():
-                    if np.isfinite(rec.yy_min_eig):
-                        min_eig = min(min_eig, rec.yy_min_eig)
+                    if np.isfinite(rec.argmin.min_eig):
+                        min_eig = min(min_eig, rec.argmin.min_eig)
     ok = unbounded == 0 and min_eig > 0.0
     _report(7, ok, f"no unbounded runs ({unbounded}), min block eigenvalue {min_eig:.2e} > 0", t0)
 

@@ -44,6 +44,14 @@ class TestGen:
         code = run_cli("gen", "--kind", "random-quadratic", "--out", tmp_path / "x.json")
         assert code == 2
 
+    def test_missing_rows_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code = run_cli("gen", "--kind", "cover-stats", "--rows", tmp_path / "missing.csv",
+                       "--seed", "1", "--out", out)
+        assert code == 2
+        assert "missing.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_needs_fixture_or_kind(self, tmp_path):
         assert run_cli("gen", "--out", tmp_path / "x.json") == 2
 
@@ -119,6 +127,33 @@ class TestRunExact:
 
     def test_missing_instance_file(self, tmp_path):
         assert run_cli("run-exact", tmp_path / "nope.json") == 2
+
+    def test_directory_as_instance_exits_two(self, tmp_path, capsys):
+        assert run_cli("run-exact", tmp_path) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        save_instance(fixture_eg32(), inst_path)
+        out = tmp_path / "missing_dir" / "r.json"
+        assert run_cli("run-exact", inst_path, "--out", out) == 2
+        assert "missing_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("observations, message", [
+        ([[0.7, 4.0], [1, 2.0], [4, 4.0], [5, 2.0]],
+         "observation 0 names 0.7, not an integer node id"),
+        ([[0, 4.0], [1, 2.0], [4, 4.0], [5, 2.0], [0, 99.0]],
+         "observation 4 observes node 0 a second time"),
+    ])
+    def test_malformed_observation_exits_two(self, tmp_path, capsys, observations, message):
+        payload = json.loads(dumps(fixture_eg32()))
+        payload["observations"] = observations
+        inst_path = tmp_path / "bad.json"
+        inst_path.write_text(json.dumps(payload))
+        out = tmp_path / "res.json"
+        assert run_cli("run-exact", inst_path, "--root", "1", "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_root(self, tmp_path):
         inst_path = tmp_path / "inst.json"

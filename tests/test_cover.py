@@ -15,8 +15,6 @@ from nervemp.cover import (
     build_nerve,
     compute_partitions,
     direct_tree,
-    held_variables,
-    partition_variables,
     spanning_tree,
 )
 from nervemp.errors import DisconnectedNerve, InvalidInstance
@@ -209,7 +207,7 @@ class TestPartitions:
         inst = fixture_eg32()
         stree = spanning_tree(build_nerve(inst.cover), "bfs", inst.cover)
         dt = direct_tree(stree, 1)
-        part = partition_variables(inst.cover, dt, (0, 1))
+        part = compute_partitions(inst.cover, dt)[(0, 1)]
         assert part.s_vars == (0, 1)
         assert part.x_vars == (3,)
         assert part.y_vars == (2,)
@@ -221,7 +219,7 @@ class TestPartitions:
         assert stree.complement == ()
         dt = direct_tree(stree, 0)
         leaf = [i for i in dt.nodes if not dt.children[i] and i != 0][0]
-        part = partition_variables(cover, dt, (leaf, dt.parent[leaf]))
+        part = compute_partitions(cover, dt)[(leaf, dt.parent[leaf])]
         expected_x = sorted(cover.node_set(leaf) & cover.node_set(dt.parent[leaf]))
         assert list(part.x_vars) == expected_x
 
@@ -236,10 +234,11 @@ class TestPartitions:
         t2 = SpanningTree(nodes=(0, 1, 2), edges=((1, 2), (0, 2)), complement=((0, 1),))
         dt = direct_tree(t2, 0)
         # nodes: cluster 0 = {0,1,6,7}, cluster 1 = {2,3,6,8}, cluster 2 = {4,5,7,8}
-        p12 = partition_variables(cover, dt, (1, 2))
+        parts = compute_partitions(cover, dt)
+        p12 = parts[(1, 2)]
         assert p12.x_vars == (6, 8)  # shared with root cluster and tree head
         assert p12.y_vars == (3,)
-        p20 = partition_variables(cover, dt, (2, 0))
+        p20 = parts[(2, 0)]
         assert p20.x_vars == (7,)
         assert 8 in p20.y_vars  # shared by the two lower clusters only
         assert p20.z_vars == (6,)  # rider owned by the complement edge
@@ -255,7 +254,10 @@ class TestPartitions:
                     groups = [part.s_vars, part.x_vars, part.y_vars, part.z_vars]
                     flat = [v for g in groups for v in g]
                     assert len(flat) == len(set(flat))  # pairwise disjoint
-                    assert set(flat) == set(held_variables(cover, dt, i))
+                    held = set(cover.node_set(i))
+                    for c in dt.children[i]:
+                        held.update(parts[(c, i)].x_vars + parts[(c, i)].z_vars)
+                    assert set(flat) == held
                     assert set(part.x_vars) <= cover.node_set(i)
                     subtree_union = set()
                     for n in dt.subtree_nodes(i):
@@ -273,10 +275,3 @@ class TestPartitions:
                 for part in parts.values():
                     seen.extend(part.y_vars)
                 assert len(seen) == len(set(seen))
-
-    def test_unknown_edge_rejected(self):
-        cover = fixture_triangle().cover
-        stree = spanning_tree(build_nerve(cover), "bfs", cover)
-        dt = direct_tree(stree, 0)
-        with pytest.raises(ValueError):
-            partition_variables(cover, dt, (5, 6))

@@ -5,6 +5,7 @@ local function over the full graph, fixing the observations, and
 minimizing in one shot must agree with any tree-structured elimination.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,6 @@ from nervemp.cover import (
     SubgraphCover,
     build_nerve,
     direct_tree,
-    held_variables,
     spanning_tree,
 )
 from nervemp.errors import MissingVariable, NonUniqueArgmin, UnboundedBelow
@@ -225,6 +225,18 @@ class TestBackSubstitute:
         assert xfull[2] == 0.0
         assert np.max(np.abs(xfull - xhat_c)) <= 1e-9
 
+    def test_needs_no_messages(self):
+        """The argmin maps and the aggregated message are all that
+        back-substitution reads."""
+        cover, quads, obs = random_instance(6, 410)
+        quads = regularize(quads, 1e-3, 2)
+        stree = spanning_tree(build_nerve(cover), "bfs", cover)
+        for root in range(cover.t):
+            run = run_message_passing(cover, quads, obs, direct_tree(stree, root))
+            _, yhat, _ = local_solve(run)
+            bare = dataclasses.replace(run, messages={})
+            assert np.array_equal(back_substitute(bare, yhat), back_substitute(run, yhat))
+
     def test_singular_elimination_raises(self):
         # two private nodes enter the leaf only through their sum, so the
         # eliminated block is singular and reconstruction must refuse
@@ -236,7 +248,7 @@ class TestBackSubstitute:
         run = run_message_passing(cover, (q1, q2), {}, dt)
         assert run.edge_records[(0, 1)].singular
         _, yhat, _ = local_solve(run)
-        with pytest.raises(NonUniqueArgmin):
+        with pytest.raises(NonUniqueArgmin, match=r"edge \(0, 1\) was singular"):
             back_substitute(run, yhat)
 
     def test_root_minimizer_of_wrong_length_is_rejected(self):
@@ -310,7 +322,7 @@ class TestRegularize:
             for root in range(cover.t):
                 run = run_message_passing(cover, reg, obs, direct_tree(stree, root))
                 for rec in run.edge_records.values():
-                    assert rec.yy_min_eig > 0
+                    assert rec.argmin.min_eig > 0
         assert failures == 0
 
     def test_rejects_nonpositive_eps(self):
@@ -325,7 +337,7 @@ class TestRunReport:
         star = SpanningTree(nodes=(0, 1, 2), edges=((0, 1), (0, 2)), complement=((1, 2),))
         run = run_message_passing(cover, inst.quads, inst.observations, direct_tree(star, 0))
         # node 8 is shared by the two leaf clusters only; it survives at the root
-        assert 8 in run.report["surviving_foreign_vars"]
+        assert 8 in run.surviving_foreign_vars
 
     def test_message_digest_is_stable(self):
         inst = fixture_triangle()
@@ -374,10 +386,11 @@ def test_every_tree_and_root_matches_the_oracle(t, seed):
     """On a regularized random cover, every spanning-tree strategy and every
     root reproduce the centralized minimum and argmin, and each unobserved
     variable is eliminated at exactly one edge or survives to the root.
-    At each edge s/x/y/z are disjoint and the argmin map eliminates y in
-    terms of x and z.  At one root per tree, s/x/y/z cover the tail's held
-    variables at each edge, and the aggregated message equals the assembled
-    objective minimized over the union of the y-sets."""
+    At each edge s/x/y/z are disjoint, together they are the variables the
+    tail held (its own quadratic's and its children's messages'), and the
+    argmin map eliminates y in terms of x and z.  At one root per tree, the
+    aggregated message equals the assembled objective minimized over the
+    union of the y-sets."""
     cover, quads, obs = random_instance(t, seed)
     quads = regularize(quads, 1e-3, seed)
     cval, xhat, _ = centralized_solve(cover, quads, obs)
@@ -395,22 +408,21 @@ def test_every_tree_and_root_matches_the_oracle(t, seed):
             xfull = back_substitute(run, yhat)
             assert np.max(np.abs(xfull - xhat)) <= 1e-6
             placed = Counter(run.aggregated.vars)
-            for rec in run.edge_records.values():
+            for (i, _), rec in run.edge_records.items():
                 placed.update(rec.argmin.eliminated)
                 p = rec.partition
                 flat = p.s_vars + p.x_vars + p.y_vars + p.z_vars
                 assert len(flat) == len(set(flat))
+                held = set(quads[i].vars)
+                for c in dtree.children[i]:
+                    held.update(run.messages[c].vars)
+                assert set(flat) == held
                 assert set(rec.argmin.eliminated) <= set(p.y_vars)
                 assert set(rec.argmin.inputs) <= set(p.x_vars + p.z_vars)
             assert placed == Counter(used)
             if root != seed % cover.t:
-                continue  # held_variables and the assembled elimination are O(t) per root
-            elim = set()
-            for (i, _), rec in run.edge_records.items():
-                p = rec.partition
-                held = set(p.s_vars + p.x_vars + p.y_vars + p.z_vars)
-                assert held == set(held_variables(cover, dtree, i))
-                elim.update(p.y_vars)
+                continue  # the assembled elimination is one n-variable eigh per root
+            elim = set().union(*(rec.partition.y_vars for rec in run.edge_records.values()))
             closed, _ = assembled.partial_minimize(elim)
             closed = closed.fix_vars(s_obs)
             engine = run.aggregated.embed(closed.vars)

@@ -1,11 +1,17 @@
 """Instance file encoding: canonical bytes and first-violation reporting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from nervemp.bench import fixture_triangle, gen_random_cover, gen_random_quads
+from nervemp.bench import (
+    fixture_eg32,
+    fixture_triangle,
+    gen_random_cover,
+    gen_random_quads,
+)
 from nervemp.errors import InvalidInstance
 from nervemp.instancefile import (
     Instance,
@@ -92,3 +98,29 @@ def test_sparse_triplets_only_store_upper_triangle():
     for q0, q1 in zip(inst.quads, data.quads):
         assert np.array_equal(q0.A, q1.A)
         assert np.array_equal(q0.b, q1.b)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("edges", 2, 1), 2.0, "edge 2 entry 1 is not an integer node id: 2.0"),
+    (("edges", 0, 0), True, "edge 0 entry 0 is not an integer node id: True"),
+    (("subgraphs", 1, 3), "6", "subgraph 1 entry 3 is not an integer node id: '6'"),
+    (("observables", 0, 1), 1.5, "observable set 0 entry 1 is not an integer node id: 1.5"),
+    (("observations", 0, 0), 0.7, "observation 0 names 0.7, not an integer node id"),
+    (("observations", 3, 0), False, "observation 3 names False, not an integer node id"),
+    (("quads", 1, "vars", 0), 3.0, "quadratic 1 vars entry 0 is not an integer node id: 3.0"),
+])
+def test_rejects_non_integer_node_id(path, value, message):
+    payload = json.loads(dumps(fixture_eg32()))
+    entry = payload
+    for k in path[:-1]:
+        entry = entry[k]
+    entry[path[-1]] = value
+    with pytest.raises(InvalidInstance, match=re.escape(message)):
+        from_payload(payload)
+
+
+def test_rejects_node_observed_twice():
+    payload = json.loads(dumps(fixture_eg32()))
+    payload["observations"].append([0, 99.0])
+    with pytest.raises(InvalidInstance, match="observation 4 observes node 0 a second time"):
+        from_payload(payload)

@@ -109,7 +109,7 @@ class TestFitMLP:
     def test_analytic_gradient_matches_finite_differences(self):
         ss = sample_message(lambda X: X[:, 0] ** 2 + 0.5 * X[:, 1], [(-2, 2)] * 2, 80, 9,
                             variables=(0, 1))
-        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer", epochs=500), 3)
+        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 3)
         X = np.array([[0.4, -0.9], [-1.2, 1.1]])
         g = fit.gradient_batch(X)
         for d in range(2):
@@ -159,7 +159,7 @@ class TestApproxMessagePassing:
     def test_deterministic_for_fixed_seed(self):
         inst = fixture_triangle()
         dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 1)
-        cfg = ApproxConfig(m=40, kind="one_hidden_layer", seed=77, box_radius=3.0, epochs=300)
+        cfg = ApproxConfig(m=40, kind="one_hidden_layer", seed=77, box_radius=3.0)
         v1, y1, _ = approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
         v2, y2, _ = approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
         assert v1 == v2
