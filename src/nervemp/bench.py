@@ -78,6 +78,31 @@ def _chain_edges(nodes) -> list[tuple[int, int]]:
     return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
 
 
+def _layout_cover(shared, local) -> SubgraphCover:
+    """Cover from node counts: `shared` lists ((i, j), count) per nerve edge,
+    in sorted edge order, and `local` lists (private, observed) per subgraph.
+
+    Node ids are dealt out in that order: the shared nodes of each nerve edge,
+    then each subgraph's private nodes followed by its observed ones.  The
+    graph chains every subgraph's nodes in id order.
+    """
+    members: list[list[int]] = [[] for _ in local]
+    next_id = 0
+    for (i, j), count in shared:
+        ids = range(next_id, next_id + count)
+        members[i].extend(ids)
+        members[j].extend(ids)
+        next_id += count
+    observables = []
+    for i, (n_private, n_observed) in enumerate(local):
+        members[i].extend(range(next_id, next_id + n_private + n_observed))
+        next_id += n_private
+        observables.append(range(next_id, next_id + n_observed))
+        next_id += n_observed
+    edges = [e for m in members for e in _chain_edges(m)]
+    return SubgraphCover(Graph(next_id, edges), members, observables)
+
+
 def gen_random_cover(
     t: int,
     seed: int,
@@ -94,27 +119,13 @@ def gen_random_cover(
         for j in range(i + 1, t):
             if (i, j) not in nerve_edges and rng.random() < extra_edge_prob:
                 nerve_edges.add((i, j))
-    members: dict[int, list[int]] = {i: [] for i in range(t)}
-    next_id = 0
-    for i, j in sorted(nerve_edges):
-        for _ in range(int(rng.integers(1, 3))):
-            members[i].append(next_id)
-            members[j].append(next_id)
-            next_id += 1
-    observables = []
-    for i in range(t):
-        n_y = int(rng.integers(y_range[0], y_range[1] + 1))
-        n_s = int(rng.integers(s_range[0], s_range[1] + 1))
-        members[i].extend(range(next_id, next_id + n_y))
-        next_id += n_y
-        observables.append(list(range(next_id, next_id + n_s)))
-        members[i].extend(observables[-1])
-        next_id += n_s
-    edges = []
-    for i in range(t):
-        edges.extend(_chain_edges(members[i]))
-    graph = Graph(next_id, edges)
-    return SubgraphCover(graph, [members[i] for i in range(t)], observables)
+    shared = [(e, int(rng.integers(1, 3))) for e in sorted(nerve_edges)]
+    local = [
+        (int(rng.integers(y_range[0], y_range[1] + 1)),
+         int(rng.integers(s_range[0], s_range[1] + 1)))
+        for _ in range(t)
+    ]
+    return _layout_cover(shared, local)
 
 
 def gen_random_quads(
@@ -324,27 +335,10 @@ def cover_from_stats(rows, nerve_edges, seed: int = 0, attempts: int = 200) -> S
         raise InfeasibleStats(
             "no shared-node allocation matches the |X| column on this nerve"
         )
-    members: dict[int, list[int]] = {i: [] for i in range(t)}
-    next_id = 0
-    for e in nerve_edges:
-        for _ in range(weights[e]):
-            members[e[0]].append(next_id)
-            members[e[1]].append(next_id)
-            next_id += 1
-    observables = []
-    for i, (x, y, s, v) in enumerate(rows):
-        extra = v - x - y - s
-        n_private = y + extra
-        members[i].extend(range(next_id, next_id + n_private))
-        next_id += n_private
-        observables.append(list(range(next_id, next_id + s)))
-        members[i].extend(observables[-1])
-        next_id += s
-    graph_edges = []
-    for i in range(t):
-        graph_edges.extend(_chain_edges(members[i]))
-    graph = Graph(next_id, graph_edges)
-    return SubgraphCover(graph, [members[i] for i in range(t)], observables)
+    return _layout_cover(
+        [(e, weights[e]) for e in nerve_edges],
+        [(v - x - s, s) for x, _, s, v in rows],
+    )
 
 
 def random_nerve_for_stats(rows, seed: int) -> tuple:
@@ -411,12 +405,13 @@ def run_experiment(
 ) -> tuple[list[dict], list[dict]]:
     """Sweep k (basis count) or m (samples per edge) and collect R records.
 
-    The cover (seeded) and its BFS tree rooted at subgraph 0 are fixed
-    across the sweep; each sweep point and repeat regenerates the basis
-    signals and observations with a derived seed, regularizes them with
-    REGULARIZE_EPS, runs the centralized oracle and the approximate
-    pipeline with a box radius of BOX_SCALE times the observations' RMS,
-    and records the error ratio.  Returns (records, per-point aggregates).
+    The cover (seeded), its BFS tree rooted at subgraph 0 and the
+    quadratic-ls sample floor are fixed across the sweep; each sweep point
+    and repeat regenerates the basis signals and observations with a
+    derived seed, regularizes them with REGULARIZE_EPS, runs the centralized
+    oracle and the approximate pipeline with a box radius of BOX_SCALE times
+    the observations' RMS, and records the error ratio.  Returns (records,
+    per-point aggregates).
     """
     if (k_list is None) == (m_list is None):
         raise ValueError("exactly one of k_list / m_list must be given")
@@ -427,6 +422,11 @@ def run_experiment(
     nerve = spec.nerve or random_nerve_for_stats(rows, seed)
     cover = cover_from_stats(rows, nerve, seed=seed)
     dtree = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
+    # The quadratic fit needs m above identifiability on every edge; a 25%
+    # margin keeps the widest edge's interpolation problem well conditioned.
+    floor = 0
+    if config.kind == "quadratic_ls":
+        floor = int(-(-identifiability_threshold(cover, dtree) * 5 // 4))
     records = []
     for p_idx, (axis, point) in enumerate(sweep):
         for rep in range(repeats):
@@ -436,13 +436,8 @@ def run_experiment(
             quads, _, obs = gen_distributed_sampling(cover, k, run_seed, spec.noise)
             quads = regularize(quads, REGULARIZE_EPS, run_seed)
             truth, _, _ = centralized_solve(cover, quads, obs)
-            run_cfg = replace(config, m=m, seed=run_seed,
+            run_cfg = replace(config, m=max(m, floor), seed=run_seed,
                               box_radius=BOX_SCALE * _observation_rms(obs))
-            if run_cfg.kind == "quadratic_ls":
-                # a 25% margin over bare identifiability keeps the widest
-                # edge's interpolation problem well conditioned
-                floor = -(-identifiability_threshold(cover, dtree) * 5 // 4)
-                run_cfg = replace(run_cfg, m=max(run_cfg.m, int(floor)))
             t0 = time.perf_counter()
             approx, _, _ = approx_message_passing(cover, quads, obs, dtree, run_cfg)
             wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -9,7 +9,6 @@ requires an explicit --seed; there is no wall-clock seeding.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .exactmp import (
     regularize,
     run_message_passing,
 )
-from .instancefile import load_instance, save_instance
+from .instancefile import load_instance, save_instance, write_json
 from .solubility import analysis_record, objective_task
 from .surrogate import ApproxConfig, approx_message_passing, error_ratio
 
@@ -58,10 +57,6 @@ _NUMERICAL = (
     InnerOptimizationFailed,
     SingularFit,
 )
-
-
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +223,7 @@ def _cmd_run_exact(args) -> int:
         ],
     }
     if args.out:
-        Path(args.out).write_text(_canonical_json(payload))
+        write_json(args.out, payload)
     return 0
 
 
@@ -255,17 +250,10 @@ def _cmd_run_approx(args) -> int:
         "exact_value": exact_value,
         "error_ratio_percent": error_ratio(value, exact_value),
         "yhat": [[int(v), float(x)] for v, x in sorted(yhat.items())],
-        "diagnostics": {
-            "exchanges": diag["exchanges"],
-            "edges": [
-                {"edge": list(d["edge"]), "m": d["m"], "kind": d["kind"],
-                 "fit_residual": d["fit_residual"], "message_dim": d["message_dim"]}
-                for d in diag["edges"]
-            ],
-        },
+        "diagnostics": diag,
     }
     if args.out:
-        Path(args.out).write_text(_canonical_json(payload))
+        write_json(args.out, payload)
     return 0
 
 
@@ -292,7 +280,7 @@ def _cmd_analyze(args) -> int:
           f"-> insolubility flag {flag}")
     print(f"direct solubility test at root {record['root']}: {record['direct_test']}")
     if args.out:
-        Path(args.out).write_text(_canonical_json(record))
+        write_json(args.out, record)
     return 0
 
 

@@ -43,9 +43,17 @@ class Graph:
 
 
 class SubgraphCover:
-    """A graph with t covering subgraphs and disjoint observable sets S_i."""
+    """A graph with t covering subgraphs and disjoint observable sets S_i.
 
-    __slots__ = ("graph", "subgraphs", "observables", "_vsets", "_node_subgraphs")
+    One pass over the subgraphs builds the node -> subgraph index, off which
+    coverage and observable exclusivity are read.  `s_order` lists every
+    observable node, sorted: the coordinate order of R^|S|.
+    """
+
+    __slots__ = (
+        "graph", "subgraphs", "observables", "s_order", "observable_set",
+        "_vsets", "_node_subgraphs",
+    )
 
     def __init__(self, graph: Graph, subgraphs, observables):
         subgraphs = tuple(tuple(sorted(set(s))) for s in subgraphs)
@@ -56,34 +64,33 @@ class SubgraphCover:
             raise InvalidInstance(
                 f"{len(observables)} observable sets for {len(subgraphs)} subgraphs"
             )
-        vsets = [frozenset(s) for s in subgraphs]
-        for i, s in enumerate(subgraphs):
-            for v in s:
-                if not (0 <= v < graph.n):
-                    raise InvalidInstance(f"subgraph {i} contains undeclared node {v}")
-        covered = set().union(*vsets) if vsets else set()
-        if covered != set(graph.nodes):
-            missing = sorted(set(graph.nodes) - covered)
-            raise InvalidInstance(f"nodes {missing} are not covered by any subgraph")
-        for i, obs in enumerate(observables):
-            for v in obs:
-                if v not in vsets[i]:
-                    raise InvalidInstance(
-                        f"observable {v} of subgraph {i} is not a node of subgraph {i}"
-                    )
-                for j, vs in enumerate(vsets):
-                    if j != i and v in vs:
-                        raise InvalidInstance(
-                            f"observable {v} of subgraph {i} also lies in subgraph {j}"
-                        )
-        self.graph = graph
-        self.subgraphs = subgraphs
-        self.observables = observables
-        self._vsets = tuple(vsets)
         node_subgraphs: dict[int, list[int]] = {v: [] for v in graph.nodes}
         for i, s in enumerate(subgraphs):
             for v in s:
+                if v not in node_subgraphs:
+                    raise InvalidInstance(f"subgraph {i} contains undeclared node {v}")
                 node_subgraphs[v].append(i)
+        missing = [v for v, ids in node_subgraphs.items() if not ids]
+        if missing:
+            raise InvalidInstance(f"nodes {missing} are not covered by any subgraph")
+        for i, obs in enumerate(observables):
+            for v in obs:
+                ids = node_subgraphs.get(v, ())
+                if i not in ids:
+                    raise InvalidInstance(
+                        f"observable {v} of subgraph {i} is not a node of subgraph {i}"
+                    )
+                others = [j for j in ids if j != i]
+                if others:
+                    raise InvalidInstance(
+                        f"observable {v} of subgraph {i} also lies in subgraph {others[0]}"
+                    )
+        self.graph = graph
+        self.subgraphs = subgraphs
+        self.observables = observables
+        self.s_order = tuple(sorted(v for obs in observables for v in obs))
+        self.observable_set = frozenset(self.s_order)
+        self._vsets = tuple(frozenset(s) for s in subgraphs)
         self._node_subgraphs = {v: tuple(ids) for v, ids in node_subgraphs.items()}
 
     @property
@@ -95,15 +102,6 @@ class SubgraphCover:
 
     def subgraphs_containing(self, v: int) -> tuple[int, ...]:
         return self._node_subgraphs[v]
-
-    @property
-    def s_order(self) -> tuple[int, ...]:
-        """All observable nodes, sorted; the coordinate order of R^|S|."""
-        return tuple(sorted(v for obs in self.observables for v in obs))
-
-    @property
-    def observable_set(self) -> frozenset:
-        return frozenset(v for obs in self.observables for v in obs)
 
 
 @dataclass(frozen=True)
@@ -164,16 +162,6 @@ class DirectedTree:
                 for c in reversed(self.children[node]):
                     stack.append((c, False))
         return tuple(order)
-
-    def subtree_nodes(self, i: int) -> frozenset:
-        out = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                out.add(c)
-                stack.append(c)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -315,43 +303,49 @@ def direct_tree(stree: SpanningTree, root: int) -> DirectedTree:
 def compute_partitions(cover: SubgraphCover, dtree: DirectedTree) -> dict:
     """EdgePartition for every directed edge of the tree, keyed by (tail, head).
 
-    For edge (g_i -> g_j):
+    For edge (g_i -> g_j), where g_i holds V_i together with the x and z
+    variables of each child's edge into g_i:
       s = S_i;
       x = V_i & (V_j | union of V_k over complement edges (g_i, g_k));
-      y = live non-observable variables whose containing subgraphs all lie
-          in the subtree rooted at g_i and that are not in x;
-      z = the remaining live variables held at g_i.
+      y = held non-observable variables outside x whose containing subgraphs
+          all lie in the subtree rooted at g_i;
+      z = the remaining held variables.
+    A subtree is the contiguous post-order range that ends at its root, so
+    the y test compares that range with the lowest and highest post-order
+    position among a variable's containing subgraphs.
     """
-    observable = cover.observable_set
+    order = dtree.postorder()
+    pos = {i: p for p, i in enumerate(order)}
+    first: dict[int, int] = {}  # post-order position where each subtree starts
+    span = {}  # lowest and highest position of the subgraphs holding each node
+    for v, ids in cover._node_subgraphs.items():
+        where = [pos[k] for k in ids]
+        span[v] = (min(where), max(where))
     comp_neighbors: dict[int, list[int]] = {i: [] for i in dtree.nodes}
     for u, v in dtree.complement:
         comp_neighbors[u].append(v)
         comp_neighbors[v].append(u)
-    subtree = {i: dtree.subtree_nodes(i) for i in dtree.nodes}
     partitions: dict[tuple[int, int], EdgePartition] = {}
-    live: dict[int, tuple[int, ...]] = {}
-    for i in dtree.postorder():
-        held = set(cover.node_set(i))
-        for c in dtree.children[i]:
+    for i in order[:-1]:  # the root, last, sends no message
+        kids = dtree.children[i]
+        first[i] = first[kids[0]] if kids else pos[i]
+        vi = cover.node_set(i)
+        held = set(vi)
+        for c in kids:
             part = partitions[(c, i)]
-            held.update(set(live[c]) - set(part.s_vars) - set(part.y_vars))
-        live[i] = tuple(sorted(held))
-        if i == dtree.root:
-            continue
+            held.update(part.x_vars, part.z_vars)
         j = dtree.parent[i]
-        shared = cover.node_set(i) & cover.node_set(j)
+        x_set = vi & cover.node_set(j)
         for k in comp_neighbors[i]:
-            shared = shared | (cover.node_set(i) & cover.node_set(k))
-        x_set = frozenset(shared)
+            x_set |= vi & cover.node_set(k)
         s_set = frozenset(cover.observables[i])
+        lo, hi = first[i], pos[i]
         y_set = frozenset(
             v
-            for v in live[i]
-            if v not in observable
-            and v not in x_set
-            and set(cover.subgraphs_containing(v)) <= subtree[i]
+            for v in held - x_set - cover.observable_set
+            if lo <= span[v][0] and span[v][1] <= hi
         )
-        z_set = frozenset(live[i]) - s_set - x_set - y_set
+        z_set = held - s_set - x_set - y_set
         partitions[(i, j)] = EdgePartition(
             s_vars=tuple(sorted(s_set)),
             x_vars=tuple(sorted(x_set)),

@@ -59,11 +59,16 @@ def _quad_from_payload(payload: dict, index: int) -> QuadFunc:
     variables = tuple(_node_ids(payload["vars"], f"quadratic {index} vars"))
     n = len(variables)
     A = np.zeros((n, n))
-    for i, j, v in payload["A"]:
+    seen = set()
+    for k, (i, j, v) in enumerate(payload["A"]):
+        _node_ids((i, j), f"quadratic {index} triplet {k}")
         if not (0 <= i <= j < n):
             raise InvalidInstance(
                 f"quadratic {index}: triplet ({i}, {j}) outside upper triangle of size {n}"
             )
+        if (i, j) in seen:
+            raise InvalidInstance(f"quadratic {index}: triplet {k} repeats entry ({i}, {j})")
+        seen.add((i, j))
         A[i, j] = v
         A[j, i] = v
     b = np.array(payload["b"], dtype=float)
@@ -102,41 +107,36 @@ def to_payload(instance: Instance) -> dict:
 
 
 def from_payload(payload: dict) -> Instance:
+    """Instance from a decoded payload; anything malformed raises InvalidInstance."""
     try:
-        n = int(payload["nodes"])
+        n = payload["nodes"]
+        if type(n) is not int:
+            raise InvalidInstance(f"node count {n!r} is not an integer")
         edges = [tuple(_node_ids(e, f"edge {k}")) for k, e in enumerate(payload["edges"])]
         subgraphs = [_node_ids(s, f"subgraph {i}") for i, s in enumerate(payload["subgraphs"])]
         observables = [
             _node_ids(s, f"observable set {i}") for i, s in enumerate(payload["observables"])
         ]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInstance(f"malformed instance payload: {exc}") from exc
-    graph = Graph(n, edges)
-    cover = SubgraphCover(graph, subgraphs, observables)
-    raw_quads = payload.get("quads", [])
-    if len(raw_quads) != cover.t:
-        raise InvalidInstance(
-            f"{len(raw_quads)} quadratics declared for {cover.t} subgraphs"
-        )
-    quads = []
-    for i, qp in enumerate(raw_quads):
-        q = _quad_from_payload(qp, i)
-        extra = set(q.vars) - cover.node_set(i)
-        if extra:
-            raise InvalidInstance(
-                f"quadratic {i} uses nodes {sorted(extra)} outside subgraph {i}"
-            )
-        quads.append(q)
-    task = None
-    if "task" in payload:
-        tp = payload["task"]
-        try:
+        cover = SubgraphCover(Graph(n, edges), subgraphs, observables)
+        raw_quads = payload.get("quads", [])
+        if len(raw_quads) != cover.t:
+            raise InvalidInstance(f"{len(raw_quads)} quadratics declared for {cover.t} subgraphs")
+        quads = []
+        for i, qp in enumerate(raw_quads):
+            q = _quad_from_payload(qp, i)
+            extra = set(q.vars) - cover.node_set(i)
+            if extra:
+                raise InvalidInstance(
+                    f"quadratic {i} uses nodes {sorted(extra)} outside subgraph {i}"
+                )
+            quads.append(q)
+        task = None
+        if "task" in payload:
+            tp = payload["task"]
             if tp["kind"] == "linear":
                 L = np.array(tp["L"], dtype=float)
                 if L.ndim != 2 or L.shape[1] != n:
-                    raise InvalidInstance(
-                        f"task matrix has shape {L.shape}, expected (*, {n})"
-                    )
+                    raise InvalidInstance(f"task matrix has shape {L.shape}, expected (*, {n})")
                 d = np.array(tp["d"], dtype=float)
                 for name, values in (("matrix", L), ("offset", d)):
                     bad = np.argwhere(~np.isfinite(values))
@@ -148,27 +148,36 @@ def from_payload(payload: dict) -> Instance:
                 task = TaskSpec(kind="objective_value")
             else:
                 raise InvalidInstance(f"unknown task kind {tp['kind']!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInstance(f"malformed task payload: {exc}") from exc
-    observations = None
-    if "observations" in payload:
-        observations = {}
-        for k, (v, val) in enumerate(payload["observations"]):
-            if type(v) is not int:
-                raise InvalidInstance(f"observation {k} names {v!r}, not an integer node id")
-            if v in observations:
-                raise InvalidInstance(f"observation {k} observes node {v} a second time")
-            if not (0 <= v < n):
-                raise InvalidInstance(f"observation {k} names undeclared node {v}")
-            val = float(val)
-            if not math.isfinite(val):
-                raise InvalidInstance(f"observation {k} at node {v} is not finite: {val!r}")
-            observations[v] = val
+        observations = None
+        if "observations" in payload:
+            observations = {}
+            for k, (v, val) in enumerate(payload["observations"]):
+                if type(v) is not int:
+                    raise InvalidInstance(f"observation {k} names {v!r}, not an integer node id")
+                if v in observations:
+                    raise InvalidInstance(f"observation {k} observes node {v} a second time")
+                if not (0 <= v < n):
+                    raise InvalidInstance(f"observation {k} names undeclared node {v}")
+                val = float(val)
+                if not math.isfinite(val):
+                    raise InvalidInstance(f"observation {k} at node {v} is not finite: {val!r}")
+                observations[v] = val
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InvalidInstance(f"malformed instance payload: {exc!r}") from exc
     return Instance(cover=cover, quads=tuple(quads), task=task, observations=observations)
 
 
+# The one canonical JSON encoding of every file nervemp writes.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` in the canonical encoding, with a final newline."""
+    Path(path).write_text(_CANONICAL.encode(payload) + "\n")
+
+
 def dumps(instance: Instance) -> str:
-    return json.dumps(to_payload(instance), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(to_payload(instance))
 
 
 def loads(text: str) -> Instance:
@@ -180,7 +189,7 @@ def loads(text: str) -> Instance:
 
 
 def save_instance(instance: Instance, path) -> None:
-    Path(path).write_text(dumps(instance) + "\n")
+    write_json(path, to_payload(instance))
 
 
 def load_instance(path) -> Instance:

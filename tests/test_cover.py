@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nervemp.bench import fixture_eg32, fixture_triangle, gen_random_cover
 from nervemp.cover import (
+    EdgePartition,
     Graph,
     SubgraphCover,
     build_nerve,
@@ -202,6 +203,13 @@ class TestDirectTree:
             assert len(dt.edges) == 6
 
 
+def _reaches(dt, n, i):
+    """Whether walking parents from tree node n reaches i (n is in i's subtree)."""
+    while n != i and n != dt.root:
+        n = dt.parent[n]
+    return n == i
+
+
 class TestPartitions:
     def test_pinned_two_subgraph_edge(self):
         inst = fixture_eg32()
@@ -260,8 +268,9 @@ class TestPartitions:
                     assert set(flat) == held
                     assert set(part.x_vars) <= cover.node_set(i)
                     subtree_union = set()
-                    for n in dt.subtree_nodes(i):
-                        subtree_union |= cover.node_set(n)
+                    for n in dt.nodes:
+                        if _reaches(dt, n, i):
+                            subtree_union |= cover.node_set(n)
                     assert set(part.y_vars) <= subtree_union
 
     def test_each_variable_eliminated_at_most_once(self):
@@ -275,3 +284,42 @@ class TestPartitions:
                 for part in parts.values():
                     seen.extend(part.y_vars)
                 assert len(seen) == len(set(seen))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+        extra_edge_prob=st.floats(min_value=0.0, max_value=1.0),
+        strategy=st.sampled_from(["bfs", "random", "max_overlap"]),
+    )
+    def test_partitions_match_their_definition(self, t, seed, extra_edge_prob, strategy):
+        """Every split equals the definition written out edge by edge."""
+        cover = gen_random_cover(t, seed, extra_edge_prob=extra_edge_prob)
+        stree = spanning_tree(build_nerve(cover), strategy, cover, seed=seed)
+        V = cover.node_set
+        for root in range(t):
+            dt = direct_tree(stree, root)
+            parts = compute_partitions(cover, dt)
+            assert set(parts) == set(dt.edges)
+            for (i, j), part in parts.items():
+                beyond = set(V(j))
+                for u, w in dt.complement:
+                    if i in (u, w):
+                        beyond |= V(w if u == i else u)
+                x = V(i) & beyond
+                held = set(V(i))
+                for c in dt.children[i]:
+                    held |= set(parts[(c, i)].x_vars + parts[(c, i)].z_vars)
+                y = {
+                    v for v in held - x
+                    if v not in cover.observable_set
+                    and all(_reaches(dt, k, i) for k in cover.subgraphs_containing(v))
+                }
+                s = set(cover.observables[i])
+                z = held - s - x - y
+                assert part == EdgePartition(
+                    s_vars=tuple(sorted(s)),
+                    x_vars=tuple(sorted(x)),
+                    y_vars=tuple(sorted(y)),
+                    z_vars=tuple(sorted(z)),
+                )

@@ -124,3 +124,28 @@ def test_rejects_node_observed_twice():
     payload["observations"].append([0, 99.0])
     with pytest.raises(InvalidInstance, match="observation 4 observes node 0 a second time"):
         from_payload(payload)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("nodes",), 7.9, "node count 7.9 is not an integer"),
+    (("nodes",), "7", "node count '7' is not an integer"),
+    (("quads", 0, "A", 1, 1), True,
+     "quadratic 0 triplet 1 entry 1 is not an integer node id: True"),
+    (("quads", 0, "A", 1, 1), 1.0,
+     "quadratic 0 triplet 1 entry 1 is not an integer node id: 1.0"),
+    (("quads", 1, "A", 1), [0, 0, 0.5], "quadratic 1: triplet 1 repeats entry (0, 0)"),
+    (("quads", 0, "b"), {"0": 0.0}, "malformed instance payload: TypeError"),
+    (("quads", 0, "c"), [0.0], "malformed instance payload: TypeError"),
+    (("quads",), 3, "malformed instance payload: TypeError"),
+    (("quads", 0), {"A": [], "b": [], "c": 0.0}, "malformed instance payload: KeyError('vars')"),
+    (("observations",), 5, "malformed instance payload: TypeError"),
+    (("observations", 0, 1), None, "malformed instance payload: TypeError"),
+])
+def test_rejects_malformed_payload(path, value, message):
+    payload = json.loads(dumps(fixture_eg32()))
+    entry = payload
+    for k in path[:-1]:
+        entry = entry[k]
+    entry[path[-1]] = value
+    with pytest.raises(InvalidInstance, match=re.escape(message)):
+        from_payload(payload)
