@@ -8,6 +8,7 @@ All objects are immutable values after construction.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,21 +113,7 @@ class NerveSkeleton:
     edges: tuple[tuple[int, int], ...]
 
     def is_connected(self) -> bool:
-        if self.t <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        adj = {i: set() for i in range(self.t)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.t
+        return self.t <= 1 or len(_bfs_parents(self.t, self.edges, 0)) == self.t - 1
 
 
 @dataclass(frozen=True)
@@ -183,6 +170,24 @@ def build_nerve(cover: SubgraphCover) -> NerveSkeleton:
     return NerveSkeleton(t=cover.t, edges=tuple(sorted(edges)))
 
 
+def _bfs_parents(t: int, edges, start: int) -> dict[int, int]:
+    """Parent of each node that a breadth-first search over 0..t-1 reaches
+    from `start`, neighbours taken in index order; `start` has none."""
+    adj = [[] for _ in range(t)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: dict[int, int] = {}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w != start and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
 class _UnionFind:
     def __init__(self, n):
         self.p = list(range(n))
@@ -222,23 +227,8 @@ def spanning_tree(
     if nerve.t == 1:
         return SpanningTree(nodes=nodes, edges=(), complement=())
     if strategy == "bfs":
-        start = 0 if root is None else root
-        adj = {i: [] for i in nodes}
-        for u, v in nerve.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for i in nodes:
-            adj[i].sort()
-        seen = {start}
-        queue = [start]
-        tree = []
-        while queue:
-            u = queue.pop(0)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    tree.append(_norm_edge(u, w))
-                    queue.append(w)
+        parent = _bfs_parents(nerve.t, nerve.edges, 0 if root is None else root)
+        tree = [_norm_edge(w, p) for w, p in parent.items()]
     elif strategy == "random":
         if seed is None:
             raise ValueError("random spanning tree requires a seed")
@@ -267,34 +257,18 @@ def direct_tree(stree: SpanningTree, root: int) -> DirectedTree:
     """Orient every tree edge toward `root`."""
     if root not in stree.nodes:
         raise ValueError(f"root {root} is not a tree node")
-    adj = {i: [] for i in stree.nodes}
-    for u, v in stree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for i in stree.nodes:
-        adj[i].sort()
-    parent: dict[int, int] = {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                queue.append(w)
-    if len(seen) != len(stree.nodes):
+    parent = _bfs_parents(len(stree.nodes), stree.edges, root)
+    if len(parent) != len(stree.nodes) - 1:
         raise InvalidInstance("tree edges do not span all nodes")
+    edges = tuple(sorted(parent.items()))
     children: dict[int, tuple[int, ...]] = {i: () for i in stree.nodes}
-    for child in sorted(parent):
-        p = parent[child]
-        children[p] = children[p] + (child,)
-    edges = tuple((child, parent[child]) for child in sorted(parent))
+    for child, p in edges:
+        children[p] += (child,)
     return DirectedTree(
         root=root,
         nodes=stree.nodes,
         edges=edges,
-        parent=dict(parent),
+        parent=parent,
         children=children,
         complement=stree.complement,
     )
@@ -313,6 +287,11 @@ def compute_partitions(cover: SubgraphCover, dtree: DirectedTree) -> dict:
     A subtree is the contiguous post-order range that ends at its root, so
     the y test compares that range with the lowest and highest post-order
     position among a variable's containing subgraphs.
+
+    A leaf holds V_i alone and meets every other subgraph through its one
+    tree edge or a complement edge, so x is V_i's nodes in another subgraph,
+    y its other unobserved nodes and z is empty: a leaf's split depends on
+    the cover alone, which is why the insolubility flag is tree-independent.
     """
     order = dtree.postorder()
     pos = {i: p for p, i in enumerate(order)}

@@ -55,6 +55,21 @@ def _node_ids(values, where: str) -> list:
     return ids
 
 
+def _number(value, where: str) -> float:
+    """float(value), refusing a JSON true/false, which float() reads as 1.0/0.0."""
+    if type(value) is bool:
+        raise InvalidInstance(f"{where} is {value}, not a number")
+    return float(value)
+
+
+def _floats(raw, where: str) -> np.ndarray:
+    """np.array(raw, dtype=float), refusing a JSON true/false entry."""
+    values = np.array(raw, dtype=float)
+    for at, v in np.ndenumerate(np.array(raw, dtype=object)):
+        _number(v, f"{where} entry {at}")
+    return values
+
+
 def _quad_from_payload(payload: dict, index: int) -> QuadFunc:
     variables = tuple(_node_ids(payload["vars"], f"quadratic {index} vars"))
     n = len(variables)
@@ -69,13 +84,13 @@ def _quad_from_payload(payload: dict, index: int) -> QuadFunc:
         if (i, j) in seen:
             raise InvalidInstance(f"quadratic {index}: triplet {k} repeats entry ({i}, {j})")
         seen.add((i, j))
-        A[i, j] = v
-        A[j, i] = v
-    b = np.array(payload["b"], dtype=float)
+        A[i, j] = A[j, i] = _number(v, f"quadratic {index} triplet {k} value")
+    b = _floats(payload["b"], f"quadratic {index} b")
     if b.shape != (n,):
         raise InvalidInstance(f"quadratic {index}: b has length {b.shape[0]}, expected {n}")
     try:
-        return QuadFunc(variables, A, b, float(payload["c"]))
+        c = _number(payload["c"], f"quadratic {index} c")
+        return QuadFunc(variables, A, b, c)
     except ValueError as exc:
         raise InvalidInstance(f"quadratic {index}: {exc}") from exc
 
@@ -134,10 +149,10 @@ def from_payload(payload: dict) -> Instance:
         if "task" in payload:
             tp = payload["task"]
             if tp["kind"] == "linear":
-                L = np.array(tp["L"], dtype=float)
+                L = _floats(tp["L"], "task matrix")
                 if L.ndim != 2 or L.shape[1] != n:
                     raise InvalidInstance(f"task matrix has shape {L.shape}, expected (*, {n})")
-                d = np.array(tp["d"], dtype=float)
+                d = _floats(tp["d"], "task offset")
                 for name, values in (("matrix", L), ("offset", d)):
                     bad = np.argwhere(~np.isfinite(values))
                     if bad.size:
@@ -158,7 +173,7 @@ def from_payload(payload: dict) -> Instance:
                     raise InvalidInstance(f"observation {k} observes node {v} a second time")
                 if not (0 <= v < n):
                     raise InvalidInstance(f"observation {k} names undeclared node {v}")
-                val = float(val)
+                val = _number(val, f"observation {k} at node {v}")
                 if not math.isfinite(val):
                     raise InvalidInstance(f"observation {k} at node {v} is not finite: {val!r}")
                 observations[v] = val

@@ -59,12 +59,6 @@ class TaskSpec:
     def dim_m(self) -> int:
         return 1 if self.kind == "objective_value" else self.L.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind != "linear":
-            raise ValueError("only linear tasks evaluate pointwise; the "
-                             "objective task needs the objective itself")
-        return self.L @ np.asarray(x, dtype=float) + self.d
-
 
 def linear_task(L, d=None) -> TaskSpec:
     return TaskSpec(kind="linear", L=np.asarray(L, dtype=float),
@@ -162,14 +156,20 @@ def jet_profile(
     RANK_TOL * max(1, largest |coefficient of Q|), which keeps float noise
     in an identically-zero message family from registering as rank.  The
     evaluator is the map s -> (A flat, b, c) itself, from Q.fix_vars.
+
+    The leaf's split is read off the cover, on which alone it depends (see
+    `compute_partitions`): the message keeps V_i's nodes that lie in another
+    subgraph and eliminates its other unobserved nodes.  This is why the
+    insolubility flag is tree-independent.
     """
     if dtree.children[leaf]:
         raise ValueError(f"node {leaf} is not a leaf of the directed tree")
     if leaf == dtree.root:
         raise ValueError("the root sends no message; pick a non-root leaf")
-    partition = compute_partitions(cover, dtree)[(leaf, dtree.parent[leaf])]
+    x_vars = [v for v in cover.subgraphs[leaf] if len(cover.subgraphs_containing(v)) > 1]
+    y_vars = set(cover.subgraphs[leaf]) - set(x_vars) - cover.observable_set
     q = quads[leaf]
-    Q, _ = q.partial_minimize(v for v in partition.y_vars if v in q.vars)
+    Q, _ = q.partial_minimize(v for v in y_vars if v in q.vars)
     s_vars = [v for v in Q.vars if v in cover.observables[leaf]]
     si = [k for k, v in enumerate(Q.vars) if v in s_vars]
     wi = [k for k, v in enumerate(Q.vars) if v not in s_vars]
@@ -190,8 +190,8 @@ def jet_profile(
         leaf=leaf,
         evaluator=evaluator,
         d_jet=d_jet,
-        msg_dim=len(partition.x_vars) + len(partition.z_vars),
-        eliminated_count=len(partition.y_vars),
+        msg_dim=len(x_vars),
+        eliminated_count=len(y_vars),
         n_free=len(cover.subgraphs[leaf]) - len(cover.observables[leaf]),
         s_order=cover.s_order,
     )
@@ -208,6 +208,15 @@ def b_alpha(profile: JetProfile) -> int:
     return profile.d_jet - profile.n_free
 
 
+def _leaf_neighbour(stree: SpanningTree, leaf: int) -> int:
+    """The one tree neighbour of `leaf`; ValueError when `leaf` is no leaf."""
+    adj = [e for e in stree.edges if leaf in e]
+    if len(adj) != 1:
+        raise ValueError(f"node {leaf} is not a leaf of the spanning tree")
+    u, v = adj[0]
+    return u if v == leaf else v
+
+
 def insolubility_check(
     cover: SubgraphCover,
     quads: Sequence[QuadFunc],
@@ -221,11 +230,7 @@ def insolubility_check(
     tree-independent: insolubility then holds along every spanning tree.
     The genericity (submersion) hypotheses are assumed, not verified.
     """
-    adj = [e for e in stree.edges if leaf in e]
-    if len(adj) != 1:
-        raise ValueError(f"node {leaf} is not a leaf of the spanning tree")
-    head = adj[0][0] if adj[0][1] == leaf else adj[0][1]
-    dtree = direct_tree(stree, head)
+    dtree = direct_tree(stree, _leaf_neighbour(stree, leaf))
     profile = jet_profile(cover, quads, dtree, leaf)
     ba = b_alpha(profile)
     s_i = len(cover.observables[leaf])
@@ -329,8 +334,7 @@ def analysis_record(
     """Flat analysis record combining the criterion and the direct test."""
     flag, report = insolubility_check(cover, quads, task, stree, leaf)
     if root is None:
-        adj = [e for e in stree.edges if leaf in e]
-        root = adj[0][0] if adj[0][1] == leaf else adj[0][1]
+        root = _leaf_neighbour(stree, leaf)
     direct = direct_solubility_test(cover, quads, task, root, stree, seed=seed)
     record = {k: report[k] for k in
               ("leaf", "S_i", "d_jet", "n_free", "b_alpha", "S", "dim_M", "flag")}

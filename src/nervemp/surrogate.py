@@ -551,8 +551,8 @@ def approx_message_passing(
             return value, yhat, {"edges": edge_diag, "exchanges": len(edge_diag)}
         j = dtree.parent[i]
         part = partitions[(i, j)]
-        retained = tuple(sorted(set(part.x_vars) | set(part.z_vars)))
-        y_vars = tuple(v for v in part.y_vars if v in variables)
+        y_vars = tuple(v for v in part.y_vars if v in objective.index)
+        retained = tuple(v for v in variables if v not in y_vars)
         ret_idx = [objective.index[v] for v in retained]
         y_idx = [objective.index[v] for v in y_vars]
         box = tuple(

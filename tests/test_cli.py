@@ -205,6 +205,29 @@ class TestRunApprox:
         assert payload["diagnostics"]["exchanges"] == 1
         assert payload["diagnostics"]["edges"][0]["m"] == 40
 
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_quadratic_omitting_a_shared_node(self, tmp_path, root):
+        """The message domain is the sender's own variables minus the
+        eliminated ones: shared node 3, absent from quadratic 0, is not
+        sampled on edge 0 -> 1."""
+        payload = json.loads(dumps(fixture_eg32()))
+        q = payload["quads"][0]
+        k = q["vars"].index(3)
+        q["vars"].pop(k)
+        q["b"].pop(k)
+        q["A"] = [[i - (i > k), j - (j > k), v] for i, j, v in q["A"] if k not in (i, j)]
+        inst_path = tmp_path / "drop3.json"
+        inst_path.write_text(json.dumps(payload))
+        common = (inst_path, "--root", root, "--regularize", "1e-2", "--seed", "3")
+        exact, approx = tmp_path / "exact.json", tmp_path / "approx.json"
+        assert run_cli("run-exact", *common, "--out", exact) == 0
+        assert run_cli("run-approx", *common, "--out", approx) == 0
+        assert run_cli("run-approx", *common, "--surrogate", "mlp",
+                       "--out", tmp_path / "mlp.json") == 0
+        want = json.loads(exact.read_text())["value"]
+        got = json.loads(approx.read_text())["value"]
+        assert abs(got - want) <= 1e-6 * abs(want)
+
     def test_seed_is_required(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         save_instance(fixture_eg32(), inst_path)

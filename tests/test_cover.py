@@ -12,6 +12,8 @@ from nervemp.bench import fixture_eg32, fixture_triangle, gen_random_cover
 from nervemp.cover import (
     EdgePartition,
     Graph,
+    NerveSkeleton,
+    SpanningTree,
     SubgraphCover,
     build_nerve,
     compute_partitions,
@@ -168,6 +170,34 @@ class TestSpanningTree:
         with pytest.raises(ValueError):
             spanning_tree(build_nerve(cover), "random", cover)
 
+    @pytest.mark.parametrize("strategy", ["random", "max_overlap"])
+    def test_disconnected_nerve_under_other_strategies(self, strategy):
+        g = Graph(4, [(0, 1), (2, 3)])
+        cover = SubgraphCover(g, [(0, 1), (2, 3)], [(0,), (2,)])
+        with pytest.raises(DisconnectedNerve, match="the nerve skeleton is not connected"):
+            spanning_tree(build_nerve(cover), strategy, cover, seed=0)
+
+    def test_unknown_strategy(self):
+        cover = fixture_triangle().cover
+        with pytest.raises(ValueError, match="unknown spanning tree strategy 'dfs'"):
+            spanning_tree(build_nerve(cover), "dfs", cover)
+
+    def test_max_overlap_requires_the_cover(self):
+        nerve = build_nerve(fixture_triangle().cover)
+        with pytest.raises(ValueError, match="max_overlap strategy requires the cover"):
+            spanning_tree(nerve, "max_overlap")
+
+    @pytest.mark.parametrize("t, edges, connected", [
+        (0, (), True),
+        (1, (), True),
+        (2, (), False),
+        (2, ((0, 1),), True),
+        (4, ((0, 1), (2, 3)), False),
+        (4, ((0, 3), (1, 3), (1, 2)), True),
+    ])
+    def test_is_connected(self, t, edges, connected):
+        assert NerveSkeleton(t=t, edges=edges).is_connected() is connected
+
 
 class TestDirectTree:
     def test_path_rooted_at_end(self):
@@ -187,8 +217,6 @@ class TestDirectTree:
 
     def test_triangle_chain_orientation(self):
         # the chain tree 1 - 2 - 0 rooted at 0 orients as 1 -> 2 -> 0
-        from nervemp.cover import SpanningTree
-
         t2 = SpanningTree(nodes=(0, 1, 2), edges=((1, 2), (0, 2)), complement=((0, 1),))
         dt = direct_tree(t2, 0)
         assert set(dt.edges) == {(1, 2), (2, 0)}
@@ -201,6 +229,11 @@ class TestDirectTree:
             tails = [t for t, _ in dt.edges]
             assert root not in tails
             assert len(dt.edges) == 6
+
+    def test_rejects_edges_that_do_not_span(self):
+        stree = SpanningTree(nodes=(0, 1, 2), edges=((0, 1),), complement=())
+        with pytest.raises(InvalidInstance, match="tree edges do not span all nodes"):
+            direct_tree(stree, 0)
 
 
 def _reaches(dt, n, i):
@@ -236,8 +269,6 @@ class TestPartitions:
         eliminated at the middle node, while the rider from the far cluster
         survives as a z-variable."""
         cover = fixture_triangle().cover
-        from nervemp.cover import SpanningTree
-
         # chain 1 - 2 - 0 rooted at 0; complement edge (0, 1)
         t2 = SpanningTree(nodes=(0, 1, 2), edges=((1, 2), (0, 2)), complement=((0, 1),))
         dt = direct_tree(t2, 0)

@@ -149,3 +149,22 @@ def test_rejects_malformed_payload(path, value, message):
     entry[path[-1]] = value
     with pytest.raises(InvalidInstance, match=re.escape(message)):
         from_payload(payload)
+
+
+@pytest.mark.parametrize("path, message", [
+    (("observations", 0, 1), "observation 0 at node 0 is True, not a number"),
+    (("quads", 0, "c"), "quadratic 0 c is True, not a number"),
+    (("quads", 0, "b", 1), "quadratic 0 b entry (1,) is True, not a number"),
+    (("quads", 1, "A", 0, 2), "quadratic 1 triplet 0 value is True, not a number"),
+    (("task", "L", 0, 2), "task matrix entry (0, 2) is True, not a number"),
+    (("task", "d", 0), "task offset entry (0,) is True, not a number"),
+])
+def test_rejects_boolean_number(path, message):
+    """float() reads a JSON true as 1.0; every numeric entry refuses it."""
+    payload = json.loads(dumps(fixture_eg32()))
+    entry = payload
+    for k in path[:-1]:
+        entry = entry[k]
+    entry[path[-1]] = True
+    with pytest.raises(InvalidInstance, match=re.escape(message)):
+        from_payload(payload)

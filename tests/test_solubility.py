@@ -12,7 +12,9 @@ Core claims verified here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nervemp import solubility
 from nervemp.bench import (
     fixture_eg32,
     fixture_triangle,
@@ -32,6 +34,7 @@ from nervemp.errors import IllDefinedTask
 from nervemp.exactmp import centralized_solve, regularize
 from nervemp.quadform import QuadFunc
 from nervemp.solubility import (
+    analysis_record,
     b_alpha,
     direct_solubility_test,
     global_problem_map,
@@ -238,6 +241,33 @@ class TestJetProfile:
                 assert got.shape == expect.shape
                 assert np.max(np.abs(got - expect)) <= 1e-9 * max(1.0, np.max(np.abs(expect)))
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        t=st.integers(min_value=2, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**16),
+        extra_edge_prob=st.floats(min_value=0.0, max_value=1.0),
+        strategy=st.sampled_from(["bfs", "random", "max_overlap"]),
+    )
+    def test_leaf_split_read_off_the_cover_matches_the_partition(
+        self, t, seed, extra_edge_prob, strategy
+    ):
+        """At every leaf edge of every tree and root, the tree's partition
+        has an empty z-set and the sizes the jet profile reads off the cover."""
+        cover = gen_random_cover(t, seed, extra_edge_prob=extra_edge_prob)
+        quads = regularize(gen_random_quads(cover, seed), 1e-3, seed)
+        stree = spanning_tree(build_nerve(cover), strategy, cover, seed=seed)
+        for root in range(t):
+            dt = direct_tree(stree, root)
+            parts = compute_partitions(cover, dt)
+            for leaf in dt.nodes:
+                if leaf == root or dt.children[leaf]:
+                    continue
+                part = parts[(leaf, dt.parent[leaf])]
+                prof = jet_profile(cover, quads, dt, leaf)
+                assert part.z_vars == ()
+                assert len(part.x_vars) == prof.msg_dim
+                assert len(part.y_vars) == prof.eliminated_count
+
     def test_rejects_non_leaf(self):
         cover = gen_random_cover(4, seed=2, extra_edge_prob=0.0)
         dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
@@ -370,3 +400,26 @@ class TestDirectSolubilityTest:
         stree = spanning_tree(build_nerve(inst.cover), "bfs", inst.cover)
         with pytest.raises(IllDefinedTask):
             direct_solubility_test(inst.cover, inst.quads, linear_task(L), 1, stree)
+
+
+def test_analysis_record_computes_partitions_once(monkeypatch):
+    """On a linear task, one analysis record computes one tree's partitions
+    (for the direct test); the jet profile reads the leaf's split off the
+    cover."""
+    cover = gen_random_cover(8, 5, extra_edge_prob=0.25)
+    quads = regularize(gen_random_quads(cover, 6), 1e-2, 7)
+    task = linear_task(np.random.default_rng(8).standard_normal((2, cover.graph.n)))
+    stree = spanning_tree(build_nerve(cover), "bfs", cover)
+    calls = []
+
+    def counted(*args, _fn=solubility.compute_partitions, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(solubility, "compute_partitions", counted)
+    leaves = [i for i in stree.nodes if sum(i in e for e in stree.edges) == 1]
+    assert leaves
+    for leaf in leaves:
+        calls.clear()
+        analysis_record(cover, quads, task, stree, leaf)
+        assert len(calls) == 1
