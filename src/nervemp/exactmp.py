@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cover import DirectedTree, EdgePartition, SubgraphCover, compute_partitions
+from .cover import DirectedTree, SubgraphCover, compute_partitions
 from .errors import MissingVariable, NonUniqueArgmin, UnboundedBelow
 from .quadform import ArgminMap, QuadFunc, quad_sum
 
@@ -25,7 +25,6 @@ from .quadform import ArgminMap, QuadFunc, quad_sum
 class EdgeRecord:
     """What happened when one message crossed one directed edge."""
 
-    partition: EdgePartition
     argmin: ArgminMap
 
     @property
@@ -74,9 +73,8 @@ def run_message_passing(
             messages[i] = h
             continue
         j = dtree.parent[i]
-        part = partitions[(i, j)]
         try:
-            msg, amap = h.partial_minimize(v for v in part.y_vars if v in h.vars)
+            msg, amap = h.partial_minimize(v for v in partitions[(i, j)].y_vars if v in h.vars)
         except UnboundedBelow as exc:
             raise UnboundedBelow(
                 f"message along edge ({i} -> {j}) is unbounded below: eliminating "
@@ -86,7 +84,7 @@ def run_message_passing(
                 min_eig=exc.min_eig,
             ) from exc
         messages[i] = msg
-        records[(i, j)] = EdgeRecord(partition=part, argmin=amap)
+        records[(i, j)] = EdgeRecord(argmin=amap)
     assert len(records) == len(dtree.edges), "one message must cross each tree edge"
     return MessagePassingRun(
         cover=cover,

@@ -56,16 +56,18 @@ def _node_ids(values, where: str) -> list:
 
 
 def _number(value, where: str) -> float:
-    """float(value), refusing a JSON true/false, which float() reads as 1.0/0.0."""
-    if type(value) is bool:
-        raise InvalidInstance(f"{where} is {value}, not a number")
+    """float(value) for a JSON int or float.  A true/false or a string is
+    refused, although float() reads them as 1.0/0.0 or parses them."""
+    if type(value) is bool or type(value) is str:
+        raise InvalidInstance(f"{where} is {value!r}, not a number")
     return float(value)
 
 
 def _floats(raw, where: str) -> np.ndarray:
-    """np.array(raw, dtype=float), refusing a JSON true/false entry."""
+    """np.array(raw, dtype=float), each entry also checked by `_number`."""
     values = np.array(raw, dtype=float)
-    for at, v in np.ndenumerate(np.array(raw, dtype=object)):
+    # np.ndindex takes every shape np.array builds; np.ndenumerate stops at 32 axes.
+    for at, v in zip(np.ndindex(values.shape), np.array(raw, dtype=object).ravel()):
         _number(v, f"{where} entry {at}")
     return values
 
@@ -200,6 +202,8 @@ def loads(text: str) -> Instance:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstance(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInstance(f"JSON nested too deeply to decode: {exc}") from exc
     return from_payload(payload)
 
 

@@ -218,12 +218,8 @@ def sample_message(
 
 
 def _quad_features(X: np.ndarray) -> np.ndarray:
-    m, d = X.shape
-    cols = [np.ones((m, 1)), X]
-    for i in range(d):
-        for j in range(i, d):
-            cols.append((X[:, i] * X[:, j])[:, None])
-    return np.concatenate(cols, axis=1)
+    iu, ju = np.triu_indices(X.shape[1])
+    return np.concatenate([np.ones((X.shape[0], 1)), X, X[:, iu] * X[:, ju]], axis=1)
 
 
 def _fit_quadratic_ls(samples: SampleSet) -> QuadSurrogate:
@@ -244,17 +240,12 @@ def _fit_quadratic_ls(samples: SampleSet) -> QuadSurrogate:
     theta, *_ = np.linalg.lstsq(F_aug, y_aug, rcond=None)
     c = float(theta[0])
     b = theta[1 : 1 + d]
+    # theta lists the upper triangle; symmetrizing keeps the squares on the
+    # diagonal and splits each cross term evenly between A[i, j] and A[j, i].
     A = np.zeros((d, d))
-    k = 1 + d
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                A[i, i] = theta[k]
-            else:
-                A[i, j] = A[j, i] = theta[k] / 2.0
-            k += 1
+    A[np.triu_indices(d)] = theta[1 + d :]
     resid = float(np.sqrt(np.mean((F @ theta - samples.outputs) ** 2)))
-    quad = QuadFunc(samples.variables, A, b, c)
+    quad = QuadFunc(samples.variables, (A + A.T) / 2.0, b, c)
     return QuadSurrogate(variables=samples.variables, quad=quad, fit_residual=resid)
 
 
@@ -286,7 +277,6 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
     m = X.shape[0]
     lr = LEARNING_RATE
     mom = MOMENTUM
-    loss = float("inf")
     for _ in range(EPOCHS):
         # Nesterov lookahead: gradient at the momentum-extrapolated point.
         lW1, lb1, lW2, lb2 = W1 + mom * vW1, b1 + mom * vb1, W2 + mom * vW2, b2 + mom * vb2
@@ -294,7 +284,6 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
         act = np.maximum(pre, 0.0)
         pred = act @ lW2 + lb2
         err = pred - t
-        loss = float(np.mean(err**2))
         gpred = 2.0 * err / m
         gW2 = act.T @ gpred
         gb2 = float(gpred.sum())
@@ -315,7 +304,7 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
         W1=W1, b1=b1, W2=W2, b2=float(b2),
         x_mean=x_mean, x_scale=x_scale,
         y_mean=y_mean, y_scale=y_scale,
-        fit_residual=float(np.sqrt(loss)) * y_scale,
+        fit_residual=float(np.sqrt(np.mean(err**2))) * y_scale,
         epochs=EPOCHS,
     )
 
@@ -339,10 +328,6 @@ class _NodeObjective:
             np.array([self.index[v] for v in s.variables], dtype=int) for s in self.mlps
         ]
 
-    @property
-    def has_mlp(self) -> bool:
-        return bool(self.mlps)
-
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         out = self.quad.evaluate_batch(X)
         for s, idx in zip(self.mlps, self._mlp_idx):
@@ -356,11 +341,11 @@ class _NodeObjective:
         return g
 
 
-def _batched_descent(fun, grad, X0, precond, bound):
+def _batched_descent(fun, grad, X0, P, bound):
     """Projected descent with per-row Armijo backtracking / growth.
 
-    `precond` maps a batch of gradients to descent directions; the inverse
-    of the known quadratic block makes the loop a damped Newton method on
+    The descent direction of a gradient row g is g @ P; with P the inverse
+    of the known quadratic block the loop is a damped Newton method on
     the smooth part, which plain gradient steps cannot match on
     ill-conditioned blocks within the budget.  `bound` is a (lo, hi) pair
     that clips iterates per coordinate: surrogate sums are only
@@ -385,7 +370,7 @@ def _batched_descent(fun, grad, X0, precond, bound):
                 break
             g = grad(X)
             gn = np.sqrt(np.einsum("bi,bi->b", g, g))
-            cand = X - step[:, None] * precond(g)
+            cand = X - step[:, None] * (g @ P)
             np.clip(cand, bound[0], bound[1], out=cand)
             move = X - cand
             decrease = np.einsum("bi,bi->b", g, move)
@@ -420,36 +405,26 @@ def _batched_descent(fun, grad, X0, precond, bound):
     return X, f, settled
 
 
-def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts, rng,
-                   fixed_batch=None):
-    """Minimize the objective over `free_vars` with multi-start descent.
+def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, restarts, rng):
+    """Minimize the objective over the variables at `free_idx`, once per row
+    of `fixed_batch` (m x n_fixed values of the other variables, in objective
+    order), with multi-start descent; the root passes one empty row.
 
     `bounds` is a (lo, hi) pair of arrays over the free variables; starts
-    are drawn uniformly inside and iterates stay clipped to it.  With
-    `fixed_batch` (m x n_fixed values of the retained variables) the same
-    descent runs per retained sample; restarts multiply the batch.
-    Pure-quadratic objectives are minimized exactly instead.
+    are drawn uniformly inside and iterates stay clipped to it.  Restarts
+    multiply the batch.  Pure-quadratic objectives are minimized exactly
+    instead, and return values only.
     """
-    n_free = len(free_vars)
-    free_idx = np.array([objective.index[v] for v in free_vars], dtype=int)
-    fixed_vars = [v for v in objective.variables if v not in set(free_vars)]
-    if fixed_batch is None:
-        assert not fixed_vars, "root optimization must cover all variables"
-        m = 1
-        base = np.zeros((1, len(objective.variables)))
-    else:
-        fixed_idx = np.array([objective.index[v] for v in fixed_vars], dtype=int)
-        m = fixed_batch.shape[0]
-        base = np.zeros((m, len(objective.variables)))
-        base[:, fixed_idx] = fixed_batch
-    if not objective.has_mlp:
-        # Pure quadratic: the exact minimizer is available; use it.
-        if fixed_batch is None:
-            value, minimizer, _ = objective.quad.global_minimize()
-            return np.full(1, value), minimizer[None, :]
-        msg, _ = objective.quad.partial_minimize(list(free_vars))
-        cols = [fixed_vars.index(v) for v in msg.vars]
-        return msg.evaluate_batch(fixed_batch[:, cols]), None
+    m, n_free = fixed_batch.shape[0], len(free_idx)
+    keep = [k for k in range(len(objective.variables)) if k not in free_idx]
+    base = np.zeros((m, len(objective.variables)))
+    base[:, keep] = fixed_batch
+    if not objective.mlps:
+        # Pure quadratic: the exact minimizer is available; use it.  The
+        # message is evaluated on the gathered copy base[:, keep], whose
+        # layout fixes the einsum summation order.
+        msg, _ = objective.quad.partial_minimize(objective.variables[k] for k in free_idx)
+        return msg.evaluate_batch(base[:, keep]), None
     if n_free == 0:
         return objective.evaluate_batch(base), base
     lo, hi = bounds
@@ -457,28 +432,22 @@ def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts, rng,
     base_rep = np.repeat(base, R, axis=0)
     X0 = rng.uniform(size=(m * R, n_free)) * (hi - lo) + lo
 
-    def fun(Xf):
+    def embed(Xf):
         full = base_rep.copy()
         full[:, free_idx] = Xf
-        return objective.evaluate_batch(full)
-
-    def grad(Xf):
-        full = base_rep.copy()
-        full[:, free_idx] = Xf
-        return objective.gradient_batch(full)[:, free_idx]
+        return full
 
     # Damped-Newton preconditioner from the exact quadratic block: the
     # rectifier terms are piecewise linear, so the smooth curvature is
     # entirely in the quadratic and is known in closed form.
     H = 2.0 * objective.quad.A[np.ix_(free_idx, free_idx)]
-    eigs = np.linalg.eigvalsh(H) if n_free else np.zeros(1)
-    delta = 1e-8 * (1.0 + float(eigs[-1])) if eigs.size else 1e-8
+    delta = 1e-8 * (1.0 + float(np.linalg.eigvalsh(H)[-1]))
     P = np.linalg.inv(H + delta * np.eye(n_free))
-
-    def precond(G):
-        return G @ P
-
-    Xf, fvals, settled = _batched_descent(fun, grad, X0, precond, (lo, hi))
+    Xf, fvals, settled = _batched_descent(
+        lambda Xf: objective.evaluate_batch(embed(Xf)),
+        lambda Xf: objective.gradient_batch(embed(Xf))[:, free_idx],
+        X0, P, (lo, hi),
+    )
     if not settled.all():
         raise InnerOptimizationFailed(
             "descent exhausted its budget with gradient norm above tolerance"
@@ -490,20 +459,6 @@ def _minimize_over(objective: _NodeObjective, free_vars, bounds, restarts, rng,
     best_pts = base.copy()
     best_pts[:, free_idx] = Xf[np.arange(m), best]
     return best_vals, best_pts
-
-
-def _local_center(objective: _NodeObjective) -> np.ndarray:
-    """Sampling-box center: the minimizer of the node's exact quadratic part.
-
-    The quadratic part (own function plus any quadratic child surrogates) is
-    the locally available guess of where the node's variables settle; the
-    zero signal is the fallback when even that part is unbounded.
-    """
-    try:
-        _, minimizer, _ = objective.quad.global_minimize()
-        return minimizer
-    except UnboundedBelow:
-        return np.zeros(len(objective.variables))
 
 
 def approx_message_passing(
@@ -519,8 +474,10 @@ def approx_message_passing(
     only difference is that each edge carries a SampleSet and the receiver
     works with the fitted surrogate.  Sampling boxes have radius
     `config.box_radius` around the node's current center (the minimizer of
-    its exact quadratic part).  Returns the optimized value, the root
-    argmin as a dict, and per-edge diagnostics.
+    its exact quadratic part).  A node whose terms are all quadratic is
+    minimized in closed form: every node under quadratic least squares, and
+    the leaves under the rectifier surrogate.  Returns the optimized value,
+    the root argmin as a dict, and per-edge diagnostics.
     """
     partitions = compute_partitions(cover, dtree)
     surrogates: dict[int, object] = {}
@@ -540,30 +497,38 @@ def approx_message_passing(
         variables = tuple(sorted(set().union(*(q.vars for q in quad_terms),
                                              *(s.variables for s in mlp_terms))))
         objective = _NodeObjective(variables, quad_terms, mlp_terms)
-        center = _local_center(objective)
+        # The center is the minimizer of the quadratic part (own function
+        # plus quadratic child surrogates), the locally available guess of
+        # where the node's variables settle; the zero signal is the fallback
+        # when even that part is unbounded.  At a pure-quadratic root it is
+        # the answer, so there unboundedness is the result.
+        try:
+            value, center, _ = objective.quad.global_minimize()
+        except UnboundedBelow:
+            if i == dtree.root and not mlp_terms:
+                raise
+            center = np.zeros(len(variables))
         if i == dtree.root:
-            rng = _rng(seed, _TAG_OPT, i)
-            vals, pts = _minimize_over(
-                objective, variables, (center - r, center + r), config.restarts, rng
-            )
-            value = float(vals[0])
-            yhat = dict(zip(variables, pts[0].tolist())) if pts is not None else {}
-            return value, yhat, {"edges": edge_diag, "exchanges": len(edge_diag)}
+            yhat = center
+            if mlp_terms:
+                vals, pts = _minimize_over(
+                    objective, np.arange(len(variables)), np.zeros((1, 0)),
+                    (center - r, center + r), config.restarts, _rng(seed, _TAG_OPT, i),
+                )
+                value, yhat = float(vals[0]), pts[0]
+            return value, dict(zip(variables, yhat.tolist())), {
+                "edges": edge_diag, "exchanges": len(edge_diag),
+            }
         j = dtree.parent[i]
-        part = partitions[(i, j)]
-        y_vars = tuple(v for v in part.y_vars if v in objective.index)
-        retained = tuple(v for v in variables if v not in y_vars)
-        ret_idx = [objective.index[v] for v in retained]
-        y_idx = [objective.index[v] for v in y_vars]
-        box = tuple(
-            (float(center[p] - r), float(center[p] + r)) for p in ret_idx
-        )
+        y_idx = [objective.index[v] for v in partitions[(i, j)].y_vars if v in objective.index]
+        ret_idx = [k for k in range(len(variables)) if k not in y_idx]
+        retained = tuple(variables[k] for k in ret_idx)
+        box = tuple((float(center[p] - r), float(center[p] + r)) for p in ret_idx)
         y_bounds = (center[y_idx] - r, center[y_idx] + r)
 
-        def message_fn(X, _obj=objective, _y=y_vars, _yb=y_bounds, _i=i):
-            rng_in = _rng(seed, _TAG_OPT, _i, 0)
-            vals, _ = _minimize_over(_obj, _y, _yb, INNER_RESTARTS, rng_in, fixed_batch=X)
-            return vals
+        def message_fn(X):
+            rng_in = _rng(seed, _TAG_OPT, i, 0)
+            return _minimize_over(objective, y_idx, X, y_bounds, INNER_RESTARTS, rng_in)[0]
 
         samples = sample_message(
             message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j),

@@ -13,6 +13,15 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# One subgraph whose quadratic x0^2 + x1 has its linear term in the kernel of A.
+UNBOUNDED = {
+    "nodes": 2, "edges": [[0, 1]],
+    "subgraphs": [[0, 1]], "observables": [[]],
+    "quads": [{"vars": [0, 1], "A": [[0, 0, 1.0]], "b": [0.0, 1.0], "c": 0.0}],
+    "observations": [],
+}
+
+
 class TestGen:
     def test_fixture_writes_pinned_file(self, tmp_path):
         out = tmp_path / "inst.json"
@@ -161,15 +170,15 @@ class TestRunExact:
         assert run_cli("run-exact", inst_path, "--root", "7") == 2
 
     def test_unbounded_instance_exits_three(self, tmp_path):
-        payload = {
-            "nodes": 2, "edges": [[0, 1]],
-            "subgraphs": [[0, 1]], "observables": [[]],
-            "quads": [{"vars": [0, 1], "A": [[0, 0, 1.0]], "b": [0.0, 1.0], "c": 0.0}],
-            "observations": [],
-        }
         inst_path = tmp_path / "ub.json"
-        inst_path.write_text(json.dumps(payload))
+        inst_path.write_text(json.dumps(UNBOUNDED))
         assert run_cli("run-exact", inst_path, "--root", "0") == 3
+
+    def test_deeply_nested_file_exits_two(self, tmp_path, capsys):
+        inst_path = tmp_path / "deep.json"
+        inst_path.write_text("[" * 5000 + "]" * 5000)
+        assert run_cli("run-exact", inst_path) == 2
+        assert "JSON nested too deeply to decode" in capsys.readouterr().err
 
     def test_nan_observation_exits_two(self, tmp_path, capsys):
         payload = json.loads(dumps(fixture_eg32()))
@@ -227,6 +236,17 @@ class TestRunApprox:
         want = json.loads(exact.read_text())["value"]
         got = json.loads(approx.read_text())["value"]
         assert abs(got - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("surrogate", ["quadratic-ls", "mlp"])
+    def test_unbounded_root_exits_three(self, tmp_path, capsys, surrogate):
+        inst_path = tmp_path / "ub.json"
+        inst_path.write_text(json.dumps(UNBOUNDED))
+        out = tmp_path / "res.json"
+        code = run_cli("run-approx", inst_path, "--surrogate", surrogate, "--seed", "1",
+                       "--out", out)
+        assert code == 3
+        assert "minimum is -inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_is_required(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -24,6 +24,7 @@ from nervemp.cover import (
     SpanningTree,
     SubgraphCover,
     build_nerve,
+    compute_partitions,
     direct_tree,
     spanning_tree,
 )
@@ -403,14 +404,15 @@ def test_every_tree_and_root_matches_the_oracle(t, seed):
         for root in range(cover.t):
             dtree = direct_tree(stree, root)
             run = run_message_passing(cover, quads, obs, dtree)
+            partitions = compute_partitions(cover, dtree)
             value, yhat, _ = local_solve(run)
             assert abs(value - cval) <= 1e-8 * max(1.0, abs(cval))
             xfull = back_substitute(run, yhat)
             assert np.max(np.abs(xfull - xhat)) <= 1e-6
             placed = Counter(run.aggregated.vars)
-            for (i, _), rec in run.edge_records.items():
+            for (i, j), rec in run.edge_records.items():
                 placed.update(rec.argmin.eliminated)
-                p = rec.partition
+                p = partitions[(i, j)]
                 flat = p.s_vars + p.x_vars + p.y_vars + p.z_vars
                 assert len(flat) == len(set(flat))
                 held = set(quads[i].vars)
@@ -422,7 +424,7 @@ def test_every_tree_and_root_matches_the_oracle(t, seed):
             assert placed == Counter(used)
             if root != seed % cover.t:
                 continue  # the assembled elimination is one n-variable eigh per root
-            elim = set().union(*(rec.partition.y_vars for rec in run.edge_records.values()))
+            elim = set().union(*(partitions[e].y_vars for e in run.edge_records))
             closed, _ = assembled.partial_minimize(elim)
             closed = closed.fix_vars(s_obs)
             engine = run.aggregated.embed(closed.vars)

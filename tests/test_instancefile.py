@@ -91,6 +91,23 @@ def test_rejects_non_json():
         loads("definitely { not json")
 
 
+def _nested_b(depth):
+    payload = json.loads(dumps(fixture_eg32()))
+    payload["quads"][0]["b"] = "@"
+    return json.dumps(payload).replace('"@"', "[" * depth + "1.0" + "]" * depth)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 5000 + "]" * 5000, "JSON nested too deeply to decode"),
+    (_nested_b(40), "quadratic 0: b has length 1, expected 4"),
+], ids=["document-5000-deep", "b-40-deep"])
+def test_rejects_deep_nesting(text, message):
+    """The decoder's recursion limit and numpy's 32-axis iterators are
+    reached by input, so both are reported as invalid input."""
+    with pytest.raises(InvalidInstance, match=re.escape(message)):
+        loads(text)
+
+
 def test_sparse_triplets_only_store_upper_triangle():
     inst = fixture_triangle()
     payload = dumps(inst)
@@ -151,20 +168,32 @@ def test_rejects_malformed_payload(path, value, message):
         from_payload(payload)
 
 
-@pytest.mark.parametrize("path, message", [
-    (("observations", 0, 1), "observation 0 at node 0 is True, not a number"),
-    (("quads", 0, "c"), "quadratic 0 c is True, not a number"),
-    (("quads", 0, "b", 1), "quadratic 0 b entry (1,) is True, not a number"),
-    (("quads", 1, "A", 0, 2), "quadratic 1 triplet 0 value is True, not a number"),
-    (("task", "L", 0, 2), "task matrix entry (0, 2) is True, not a number"),
-    (("task", "d", 0), "task offset entry (0,) is True, not a number"),
-])
-def test_rejects_boolean_number(path, message):
-    """float() reads a JSON true as 1.0; every numeric entry refuses it."""
+_NON_NUMBERS = [
+    (path, value, f"{where} is {value!r}, not a number")
+    for value in (True, "1.5")
+    for path, where in [
+        (("observations", 0, 1), "observation 0 at node 0"),
+        (("quads", 0, "c"), "quadratic 0 c"),
+        (("quads", 0, "b", 1), "quadratic 0 b entry (1,)"),
+        (("quads", 1, "A", 0, 2), "quadratic 1 triplet 0 value"),
+        (("task", "L", 0, 2), "task matrix entry (0, 2)"),
+        (("task", "d", 0), "task offset entry (0,)"),
+    ]
+]
+
+
+# The message already shows the value, so a case is named by path and message.
+@pytest.mark.parametrize(
+    "path, value, message", _NON_NUMBERS,
+    ids=[f"path{k}-{message}" for k, (_, _, message) in enumerate(_NON_NUMBERS)],
+)
+def test_rejects_boolean_number(path, value, message):
+    """float() reads a JSON true as 1.0 and parses the string "1.5"; every
+    numeric entry refuses both."""
     payload = json.loads(dumps(fixture_eg32()))
     entry = payload
     for k in path[:-1]:
         entry = entry[k]
-    entry[path[-1]] = True
+    entry[path[-1]] = value
     with pytest.raises(InvalidInstance, match=re.escape(message)):
         from_payload(payload)

@@ -6,6 +6,7 @@ the exact messages and therefore the exact optimum.
 """
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from nervemp.bench import (
     gen_random_quads,
 )
 from nervemp.cover import Graph, SubgraphCover, build_nerve, direct_tree, spanning_tree
-from nervemp.errors import InvalidInstance, SingularFit
+from nervemp.errors import InvalidInstance, SingularFit, UnboundedBelow
 from nervemp.exactmp import local_solve, regularize, run_message_passing
 from nervemp.quadform import QuadFunc
 from nervemp.surrogate import (
@@ -145,6 +146,41 @@ class TestApproxMessagePassing:
         run = run_message_passing(cover, quads, obs, dt)
         exact, _, _ = local_solve(run)
         assert abs(value - exact) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["quadratic_ls", "one_hidden_layer"])
+    def test_unbounded_root_raises(self, kind):
+        """A one-subgraph instance whose linear term lies in the kernel of A:
+        the pure-quadratic root has no minimum, under either surrogate."""
+        cover = SubgraphCover(Graph(2, [(0, 1)]), [(0, 1)], [()])
+        quads = (QuadFunc((0, 1), [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0], 0.0),)
+        dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
+        with pytest.raises(UnboundedBelow):
+            approx_message_passing(cover, quads, {}, dt, ApproxConfig(m=10, kind=kind, seed=1))
+
+    def test_root_factors_its_block_once(self, monkeypatch):
+        """Under quadratic least squares each node factors its quadratic part
+        once for the sampling center, and the root reads its answer off that
+        factorization: one global_minimize per node, one eigh per node and
+        one per edge message."""
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
+        cfg = ApproxConfig(m=identifiability_threshold(inst.cover, dt), kind="quadratic_ls",
+                           seed=5)
+        calls = Counter()
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(QuadFunc, "global_minimize")
+        counting(np.linalg, "eigh")
+        approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+        assert calls["global_minimize"] == inst.cover.t == 3
+        assert calls["eigh"] == inst.cover.t + len(dt.edges) == 5
 
     def test_single_exchange_per_edge(self):
         cover = gen_random_cover(5, seed=50)
