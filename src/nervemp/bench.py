@@ -115,10 +115,13 @@ def gen_random_cover(
     nerve_edges = set()
     for i in range(1, t):
         nerve_edges.add((int(rng.integers(0, i)), i))
+    # One coin per pair (i, j), i < j, outside the tree, in row-major
+    # order; each row's coins are drawn in one call.  Earlier rows add no
+    # pair (i, .), so `later` excludes exactly the tree pairs.
     for i in range(t):
-        for j in range(i + 1, t):
-            if (i, j) not in nerve_edges and rng.random() < extra_edge_prob:
-                nerve_edges.add((i, j))
+        later = [j for j in range(i + 1, t) if (i, j) not in nerve_edges]
+        coins = rng.random(len(later))
+        nerve_edges.update((i, j) for j, c in zip(later, coins) if c < extra_edge_prob)
     shared = [(e, int(rng.integers(1, 3))) for e in sorted(nerve_edges)]
     local = [
         (int(rng.integers(y_range[0], y_range[1] + 1)),

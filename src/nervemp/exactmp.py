@@ -34,12 +34,13 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class MessagePassingRun:
-    """Immutable record of one complete run: one message per node."""
+    """Immutable record of one complete run: one message per tree edge,
+    keyed by its tail; the root's sum is `aggregated`."""
 
     cover: SubgraphCover
     dtree: DirectedTree
     observations: dict
-    messages: dict
+    messages: dict  # tail -> QuadFunc
     edge_records: dict  # (tail, head) -> EdgeRecord
     aggregated: QuadFunc
     surviving_foreign_vars: tuple  # aggregated vars outside the root's subgraph
@@ -70,7 +71,6 @@ def run_message_passing(
         h = quad_sum([own] + [messages[c] for c in dtree.children[i]])
         if i == dtree.root:
             aggregated = h
-            messages[i] = h
             continue
         j = dtree.parent[i]
         try:

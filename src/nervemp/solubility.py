@@ -61,8 +61,7 @@ class TaskSpec:
 
 
 def linear_task(L, d=None) -> TaskSpec:
-    return TaskSpec(kind="linear", L=np.asarray(L, dtype=float),
-                    d=None if d is None else np.asarray(d, dtype=float))
+    return TaskSpec(kind="linear", L=L, d=d)
 
 
 def objective_task() -> TaskSpec:
@@ -73,25 +72,17 @@ def objective_task() -> TaskSpec:
 class GlobalProblemMap:
     """Affine map s -> tau(xhat(s)) with s ordered by sorted observable node."""
 
-    s_order: tuple[int, ...]
     matrix: np.ndarray
     offset: np.ndarray
-
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(s, dtype=float) + self.offset
 
 
 @dataclass(frozen=True)
 class JetProfile:
     """Rank data of a leaf message's coefficient family s -> (A, b, c)."""
 
-    leaf: int
     evaluator: Callable = field(repr=False)
     d_jet: int
-    msg_dim: int
-    eliminated_count: int
     n_free: int
-    s_order: tuple[int, ...]
 
 
 def task_welldefined(
@@ -139,7 +130,7 @@ def global_problem_map(
     L_free = task.L[:, list(amap.eliminated)]
     matrix = task.L[:, list(amap.inputs)] + L_free @ amap.M
     offset = L_free @ amap.m + task.d
-    return GlobalProblemMap(s_order=cover.s_order, matrix=matrix, offset=offset)
+    return GlobalProblemMap(matrix=matrix, offset=offset)
 
 
 def jet_profile(
@@ -166,8 +157,8 @@ def jet_profile(
         raise ValueError(f"node {leaf} is not a leaf of the directed tree")
     if leaf == dtree.root:
         raise ValueError("the root sends no message; pick a non-root leaf")
-    x_vars = [v for v in cover.subgraphs[leaf] if len(cover.subgraphs_containing(v)) > 1]
-    y_vars = set(cover.subgraphs[leaf]) - set(x_vars) - cover.observable_set
+    y_vars = [v for v in cover.subgraphs[leaf]
+              if len(cover.subgraphs_containing(v)) == 1 and v not in cover.observable_set]
     q = quads[leaf]
     Q, _ = q.partial_minimize(v for v in y_vars if v in q.vars)
     s_vars = [v for v in Q.vars if v in cover.observables[leaf]]
@@ -187,13 +178,9 @@ def jet_profile(
         return np.concatenate([msg.A.reshape(-1), msg.b, [msg.c]])
 
     return JetProfile(
-        leaf=leaf,
         evaluator=evaluator,
         d_jet=d_jet,
-        msg_dim=len(x_vars),
-        eliminated_count=len(y_vars),
         n_free=len(cover.subgraphs[leaf]) - len(cover.observables[leaf]),
-        s_order=cover.s_order,
     )
 
 
@@ -253,9 +240,6 @@ def insolubility_check(
         "lhs": lhs,
         "rhs": rhs,
         "flag": flag,
-        "objective_guaranteed": objective_guaranteed,
-        "tree_independent": True,
-        "genericity_assumed": True,
     }
     return flag, report
 

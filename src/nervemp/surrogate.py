@@ -15,13 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cover import DirectedTree, SubgraphCover, compute_partitions
-from .errors import (
-    DimensionMismatch,
-    InnerOptimizationFailed,
-    InvalidInstance,
-    SingularFit,
-    UnboundedBelow,
-)
+from .errors import DimensionMismatch, InnerOptimizationFailed, SingularFit, UnboundedBelow
 from .exactmp import _fix_observations
 from .quadform import QuadFunc, quad_sum
 
@@ -56,7 +50,6 @@ class SampleSet:
     box: tuple  # ((lo, hi), ...) per variable
     inputs: np.ndarray
     outputs: np.ndarray
-    edge: tuple[int, int] | None = None
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
@@ -64,6 +57,10 @@ class SampleSet:
         if inputs.ndim != 2 or inputs.shape[1] != len(self.variables):
             raise DimensionMismatch(
                 f"inputs shape {inputs.shape} does not match {len(self.variables)} variables"
+            )
+        if len(self.box) != len(self.variables):
+            raise DimensionMismatch(
+                f"box has {len(self.box)} intervals for {len(self.variables)} variables"
             )
         if outputs.shape[0] != inputs.shape[0]:
             raise DimensionMismatch("one output per input point required")
@@ -79,46 +76,6 @@ class SampleSet:
     @property
     def m(self) -> int:
         return self.inputs.shape[0]
-
-    def to_wire(self) -> str:
-        """Byte-stable text form: header lines then one `x...,y` row per sample."""
-        e = self.edge if self.edge is not None else (-1, -1)
-        lines = [
-            f"edge:{e[0]},{e[1]}",
-            "vars:" + ",".join(str(v) for v in self.variables),
-            "box:" + ";".join(f"{repr(float(lo))},{repr(float(hi))}" for lo, hi in self.box),
-        ]
-        for x, y in zip(self.inputs, self.outputs):
-            lines.append(",".join(repr(float(t)) for t in x) + "," + repr(float(y)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_wire(cls, text: str) -> "SampleSet":
-        """Parse `to_wire` text; InvalidInstance names the first bad line."""
-        numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln]
-
-        def parse(h, prefix, conv, width=None):
-            k, line = numbered[h] if h < len(numbered) else (h + 1, "")
-            if not line.startswith(prefix):
-                raise InvalidInstance(f"sample wire line {k}: expected the {prefix!r} header")
-            field = line.removeprefix(prefix).replace(";", ",")
-            try:
-                values = tuple(conv(t) for t in field.split(",")) if field else ()
-                if width is not None and len(values) != width:
-                    raise ValueError(f"{len(values)} values, expected {width}")
-            except ValueError as exc:
-                raise InvalidInstance(f"sample wire line {k}: {line!r}: {exc}") from None
-            return values
-
-        e = parse(0, "edge:", int, 2)
-        variables = parse(1, "vars:", int)
-        bounds = parse(2, "box:", float, 2 * len(variables))
-        box = tuple(zip(bounds[::2], bounds[1::2]))
-        rows = [parse(h, "", float, len(variables) + 1) for h in range(3, len(numbered))]
-        inputs = np.array([r[:-1] for r in rows], dtype=float).reshape(len(rows), len(variables))
-        outputs = np.array([r[-1] for r in rows], dtype=float)
-        edge = None if e == (-1, -1) else e
-        return cls(variables=variables, box=box, inputs=inputs, outputs=outputs, edge=edge)
 
 
 @dataclass(frozen=True)
@@ -162,7 +119,6 @@ def identifiability_threshold(cover: SubgraphCover, dtree: DirectedTree) -> int:
 class QuadSurrogate:
     """Least-squares quadratic fit; exact for quadratic messages."""
 
-    variables: tuple
     quad: QuadFunc
     fit_residual: float
 
@@ -205,7 +161,6 @@ def sample_message(
     m: int,
     seed,
     variables: tuple,
-    edge: tuple[int, int] | None = None,
 ) -> SampleSet:
     """m i.i.d. uniform points in the box, evaluated through `h` (batched)."""
     box = tuple((float(lo), float(hi)) for lo, hi in box)
@@ -214,7 +169,7 @@ def sample_message(
     hi = np.array([b[1] for b in box])
     X = rng.uniform(size=(m, len(box))) * (hi - lo) + lo
     y = np.asarray(h(X), dtype=float).reshape(-1)
-    return SampleSet(variables=variables, box=box, inputs=X, outputs=y, edge=edge)
+    return SampleSet(variables=variables, box=box, inputs=X, outputs=y)
 
 
 def _quad_features(X: np.ndarray) -> np.ndarray:
@@ -246,7 +201,7 @@ def _fit_quadratic_ls(samples: SampleSet) -> QuadSurrogate:
     A[np.triu_indices(d)] = theta[1 + d :]
     resid = float(np.sqrt(np.mean((F @ theta - samples.outputs) ** 2)))
     quad = QuadFunc(samples.variables, (A + A.T) / 2.0, b, c)
-    return QuadSurrogate(variables=samples.variables, quad=quad, fit_residual=resid)
+    return QuadSurrogate(quad=quad, fit_residual=resid)
 
 
 def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
@@ -511,10 +466,13 @@ def approx_message_passing(
         if i == dtree.root:
             yhat = center
             if mlp_terms:
-                vals, pts = _minimize_over(
-                    objective, np.arange(len(variables)), np.zeros((1, 0)),
-                    (center - r, center + r), config.restarts, _rng(seed, _TAG_OPT, i),
-                )
+                try:
+                    vals, pts = _minimize_over(
+                        objective, np.arange(len(variables)), np.zeros((1, 0)),
+                        (center - r, center + r), config.restarts, _rng(seed, _TAG_OPT, i),
+                    )
+                except InnerOptimizationFailed as exc:
+                    raise InnerOptimizationFailed(f"minimization at root {i}: {exc}") from exc
                 value, yhat = float(vals[0]), pts[0]
             return value, dict(zip(variables, yhat.tolist())), {
                 "edges": edge_diag, "exchanges": len(edge_diag),
@@ -530,11 +488,18 @@ def approx_message_passing(
             rng_in = _rng(seed, _TAG_OPT, i, 0)
             return _minimize_over(objective, y_idx, X, y_bounds, INNER_RESTARTS, rng_in)[0]
 
-        samples = sample_message(
-            message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j),
-            variables=retained, edge=(i, j),
-        )
-        fitted = fit_surrogate(samples, config, _rng(seed, _TAG_FIT, i, j))
+        try:
+            samples = sample_message(
+                message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j), variables=retained,
+            )
+            fitted = fit_surrogate(samples, config, _rng(seed, _TAG_FIT, i, j))
+        except UnboundedBelow as exc:
+            raise UnboundedBelow(
+                f"message along edge ({i} -> {j}): {exc}", edge=(i, j),
+                block_size=exc.block_size, min_eig=exc.min_eig,
+            ) from exc
+        except (SingularFit, InnerOptimizationFailed) as exc:
+            raise type(exc)(f"message along edge ({i} -> {j}): {exc}") from exc
         surrogates[i] = fitted
         edge_diag.append({
             "edge": (i, j),

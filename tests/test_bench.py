@@ -8,6 +8,7 @@ import pytest
 from nervemp.bench import (
     DEFAULT_STATS_ROWS,
     InstanceSpec,
+    _layout_cover,
     aggregates_csv,
     cover_from_stats,
     fixture_eg32,
@@ -201,3 +202,30 @@ class TestRandomCoverSizes:
             cover = gen_random_cover(6, seed=seed)
             assert cover.graph.n <= 40
             assert build_nerve(cover).is_connected()
+
+
+def _scalar_draw_cover(t, seed, extra_edge_prob):
+    """Reference generator: one scalar coin per pair outside the tree."""
+    rng = np.random.default_rng(seed)
+    nerve_edges = set()
+    for i in range(1, t):
+        nerve_edges.add((int(rng.integers(0, i)), i))
+    for i in range(t):
+        for j in range(i + 1, t):
+            if (i, j) not in nerve_edges and rng.random() < extra_edge_prob:
+                nerve_edges.add((i, j))
+    shared = [(e, int(rng.integers(1, 3))) for e in sorted(nerve_edges)]
+    local = [(int(rng.integers(1, 3)), int(rng.integers(1, 3))) for _ in range(t)]
+    return _layout_cover(shared, local)
+
+
+@pytest.mark.parametrize("t, seed, p", [
+    (800, 1, 2 / 800), (20, 1, 0.1), (6, 3, 0.25), (30, 7, 0.4),
+    (1, 0, 0.25), (2, 5, 1.0), (50, 9, 0.0), (200, 2, 0.5),
+])
+def test_row_coins_match_scalar_draws(t, seed, p):
+    got = gen_random_cover(t, seed, extra_edge_prob=p)
+    want = _scalar_draw_cover(t, seed, p)
+    assert got.subgraphs == want.subgraphs
+    assert got.observables == want.observables
+    assert got.graph.edges == want.graph.edges

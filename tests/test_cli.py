@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -247,6 +248,15 @@ class TestRunApprox:
         assert code == 3
         assert "minimum is -inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_fit_names_the_edge(self, tmp_path, capsys):
+        inst_path = tmp_path / "rq.json"
+        assert run_cli("gen", "--kind", "random-quadratic", "--t", "6", "--seed", "3",
+                       "--out", inst_path) == 0
+        code = run_cli("run-approx", inst_path, "--m", "3", "--seed", "1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"message along edge \(\d+ -> \d+\): 3 samples cannot", err), err
 
     def test_seed_is_required(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -347,6 +347,7 @@ class TestRunReport:
         )
         run1 = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
         run2 = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
+        assert set(run1.messages) == {i for i, _ in run1.edge_records}
         for i in run1.messages:
             assert message_digest(run1.messages[i]) == message_digest(run2.messages[i])
 

@@ -1,11 +1,10 @@
-"""Sampling, surrogate fits, approximate message passing, wire format.
+"""Sampling, surrogate fits and approximate message passing.
 
 The load-bearing check is the oracle reduction: with full-quadratic least
 squares surrogates and enough samples, the approximate pipeline recovers
 the exact messages and therefore the exact optimum.
 """
 
-import re
 from collections import Counter
 
 import numpy as np
@@ -18,7 +17,7 @@ from nervemp.bench import (
     gen_random_quads,
 )
 from nervemp.cover import Graph, SubgraphCover, build_nerve, direct_tree, spanning_tree
-from nervemp.errors import InvalidInstance, SingularFit, UnboundedBelow
+from nervemp.errors import DimensionMismatch, SingularFit, UnboundedBelow
 from nervemp.exactmp import local_solve, regularize, run_message_passing
 from nervemp.quadform import QuadFunc
 from nervemp.surrogate import (
@@ -54,6 +53,11 @@ class TestSampleMessage:
         ss = sample_message(q.evaluate_batch, [(-2, 2)] * 3, 50, 11, variables=q.vars)
         for x, y in zip(ss.inputs, ss.outputs):
             assert abs(q.evaluate(x) - y) <= 1e-12 * max(1.0, abs(y))
+
+    @pytest.mark.parametrize("box", [((-1, 1),), ((-1, 1), (-1, 1), (-1, 1))])
+    def test_box_of_the_wrong_length_rejected(self, box):
+        with pytest.raises(DimensionMismatch, match="intervals for 2 variables"):
+            SampleSet(variables=(0, 1), box=box, inputs=np.zeros((3, 2)), outputs=np.zeros(3))
 
 
 class TestFitQuadraticLS:
@@ -147,6 +151,13 @@ class TestApproxMessagePassing:
         exact, _, _ = local_solve(run)
         assert abs(value - exact) < 1e-12
 
+    def test_failed_fit_names_the_edge(self):
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
+        cfg = ApproxConfig(m=2, kind="quadratic_ls", seed=5)
+        with pytest.raises(SingularFit, match=r"edge \(\d+ -> \d+\): 2 samples cannot"):
+            approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+
     @pytest.mark.parametrize("kind", ["quadratic_ls", "one_hidden_layer"])
     def test_unbounded_root_raises(self, kind):
         """A one-subgraph instance whose linear term lies in the kernel of A:
@@ -222,42 +233,6 @@ class TestErrorRatio:
 
     def test_guard_near_zero_truth(self):
         assert error_ratio(1e-9, 0.0) == 100.0 * 1e-9 / 1e-6
-
-
-class TestWireFormat:
-    def test_round_trip_is_byte_stable(self):
-        rng = np.random.default_rng(0)
-        ss = sample_message(lambda X: X[:, 0] * X[:, 1], [(-2.5, 2.5), (-1.0, 3.5)],
-                            9, 13, variables=(4, 7), edge=(2, 0))
-        wire = ss.to_wire()
-        back = SampleSet.from_wire(wire)
-        assert back.variables == ss.variables
-        assert back.edge == ss.edge
-        assert back.box == ss.box
-        assert np.array_equal(back.inputs, ss.inputs)
-        assert np.array_equal(back.outputs, ss.outputs)
-        assert back.to_wire() == wire
-
-    def test_header_shape(self):
-        ss = sample_message(lambda X: np.zeros(len(X)), [(-1, 1)], 2, 5,
-                            variables=(3,), edge=(1, 2))
-        lines = ss.to_wire().splitlines()
-        assert lines[0] == "edge:1,2"
-        assert lines[1] == "vars:3"
-        assert len(lines) == 3 + 2
-
-
-    @pytest.mark.parametrize("text, message", [
-        ("", "line 1: expected the 'edge:' header"),
-        ("edge:1,2\nbox:-1.0,1.0\n0.5,1.0\n", "line 2: expected the 'vars:' header"),
-        ("edge:1,2\nvars:3\nbox:-1.0,1.0\n0.5,1.0\n0.5,abc\n",
-         "line 5: '0.5,abc': could not convert string to float"),
-        ("edge:1,2\nvars:3,4\nbox:-1.0,1.0;-1.0,1.0\n\n0.5,0.25\n",
-         "line 5: '0.5,0.25': 2 values, expected 3"),
-    ])
-    def test_malformed_text_names_the_line(self, text, message):
-        with pytest.raises(InvalidInstance, match=re.escape(message)):
-            SampleSet.from_wire(text)
 
 
 class TestIdentifiability:
