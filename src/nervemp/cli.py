@@ -1,9 +1,10 @@
 """Command-line entry point binding generators, engines and analyzers.
 
-Exit codes: 0 success, 2 invalid input (a file that cannot be read or
-written included), 3 numerical failure (unbounded / ill-defined / failed
-fit or descent), 4 internal assertion.  Every source of randomness
-requires an explicit --seed; there is no wall-clock seeding.
+Exit codes: 0 success, 2 invalid input (an `InvalidInput` error, a
+`ValueError`, or a file that cannot be read or written), 3 numerical
+failure (a `NumericalFailure`: unbounded / ill-defined / failed fit or
+descent), 4 internal assertion.  Every source of randomness requires an
+explicit --seed; there is no wall-clock seeding.
 """
 
 from __future__ import annotations
@@ -14,20 +15,7 @@ from pathlib import Path
 
 from . import bench
 from .cover import build_nerve, direct_tree, spanning_tree
-from .errors import (
-    DimensionMismatch,
-    DisconnectedNerve,
-    IllDefinedTask,
-    InfeasibleStats,
-    InnerOptimizationFailed,
-    InvalidInstance,
-    MissingVariable,
-    NerveMPError,
-    NonUniqueArgmin,
-    SingularFit,
-    UnboundedBelow,
-    UnknownVariable,
-)
+from .errors import InvalidInput, InvalidInstance, NerveMPError, NumericalFailure
 from .exactmp import (
     back_substitute,
     centralized_solve,
@@ -40,23 +28,13 @@ from .instancefile import load_instance, save_instance, write_json
 from .solubility import analysis_record, objective_task
 from .surrogate import ApproxConfig, approx_message_passing, error_ratio
 
-_INVALID_INPUT = (
-    InvalidInstance,
-    InfeasibleStats,
-    DisconnectedNerve,
-    MissingVariable,
-    UnknownVariable,
-    DimensionMismatch,
-    ValueError,
-    OSError,
-)
-_NUMERICAL = (
-    UnboundedBelow,
-    NonUniqueArgmin,
-    IllDefinedTask,
-    InnerOptimizationFailed,
-    SingularFit,
-)
+# Command-line names of the generator families and the surrogate kinds.
+_KINDS = {
+    "distributed-sampling": "distributed_sampling",
+    "random-quadratic": "random_quadratic",
+    "cover-stats": "cover_from_stats",
+}
+_SURROGATES = {"quadratic-ls": "quadratic_ls", "mlp": "one_hidden_layer"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--fixture", choices=["eg32"], help="write a pinned fixture")
     g.add_argument(
         "--kind",
-        choices=["distributed-sampling", "random-quadratic", "cover-stats"],
+        choices=list(_KINDS),
         help="generator family",
     )
     g.add_argument("--t", type=int, default=4, help="subgraph count (random covers)")
@@ -100,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--tree", choices=["bfs", "random", "max-overlap"], default="bfs",
                    help="spanning tree strategy (default: bfs)")
     a.add_argument("--m", type=int, default=80, help="samples per edge (default: 80)")
-    a.add_argument("--surrogate", choices=["quadratic-ls", "mlp"], default="quadratic-ls",
+    a.add_argument("--surrogate", choices=list(_SURROGATES), default="quadratic-ls",
                    help="per-edge fit: full-quadratic least squares (exact on this "
                         "family) or a one-hidden-layer rectifier net (default: quadratic-ls)")
     a.add_argument("--box-radius", type=float, default=5.0,
@@ -127,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m-list", type=str, default=None, help="comma-separated m values")
     s.add_argument("--k", type=int, default=25, help="fixed k for m sweeps")
     s.add_argument("--m", type=int, default=80, help="fixed m for k sweeps")
-    s.add_argument("--surrogate", choices=["quadratic-ls", "mlp"], default="mlp")
+    s.add_argument("--surrogate", choices=list(_SURROGATES), default="mlp")
     s.add_argument("--repeats", type=int, default=1)
     s.add_argument("--noise", type=float, default=None)
     s.add_argument("--seed", type=int, required=True)
@@ -136,13 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _tree_for(instance, args):
+def _load_for_run(args):
+    """The instance, its quadratics (regularized when asked) and the directed
+    tree that run-exact and run-approx work on."""
+    instance = load_instance(args.instance)
+    if instance.observations is None:
+        raise InvalidInstance("instance carries no observations")
+    quads = instance.quads
+    if args.regularize is not None:
+        if args.seed is None:
+            raise ValueError("--regularize requires --seed")
+        quads = regularize(quads, args.regularize, args.seed)
     strategy = args.tree.replace("-", "_")
     if strategy == "random" and args.seed is None:
         raise ValueError("--tree random requires --seed")
     nerve = build_nerve(instance.cover)
     stree = spanning_tree(nerve, strategy, instance.cover, root=args.root, seed=args.seed)
-    return stree, direct_tree(stree, args.root)
+    return instance, quads, direct_tree(stree, args.root)
 
 
 def _read_rows_csv(path: str):
@@ -166,18 +154,10 @@ def _cmd_gen(args) -> int:
     elif args.kind is not None:
         if args.seed is None:
             raise ValueError("generation with randomness requires --seed")
-        if args.kind == "distributed-sampling":
-            rows = _read_rows_csv(args.rows) if args.rows else None
-            spec = bench.InstanceSpec(kind="distributed_sampling", k=args.k,
-                                      rows=rows, noise=args.noise, seed=args.seed)
-            instance = bench.generate_instance(spec)
-        elif args.kind == "random-quadratic":
-            spec = bench.InstanceSpec(kind="random_quadratic", t=args.t, seed=args.seed)
-            instance = bench.generate_instance(spec)
-        else:  # cover-stats
-            rows = _read_rows_csv(args.rows) if args.rows else bench.DEFAULT_STATS_ROWS
-            spec = bench.InstanceSpec(kind="cover_from_stats", rows=rows, seed=args.seed)
-            instance = bench.generate_instance(spec)
+        instance = bench.generate_instance(bench.InstanceSpec(
+            kind=_KINDS[args.kind], t=args.t, k=args.k, noise=args.noise, seed=args.seed,
+            rows=_read_rows_csv(args.rows) if args.rows else None,
+        ))
     else:
         raise ValueError("gen needs either --fixture or --kind")
     save_instance(instance, args.out)
@@ -187,15 +167,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run_exact(args) -> int:
-    instance = load_instance(args.instance)
-    if instance.observations is None:
-        raise InvalidInstance("instance carries no observations")
-    quads = instance.quads
-    if args.regularize is not None:
-        if args.seed is None:
-            raise ValueError("--regularize requires --seed")
-        quads = regularize(quads, args.regularize, args.seed)
-    stree, dtree = _tree_for(instance, args)
+    instance, quads, dtree = _load_for_run(args)
     run = run_message_passing(instance.cover, quads, instance.observations, dtree)
     value, yhat, kernel = local_solve(run)
     central_value, _, _ = centralized_solve(instance.cover, quads, instance.observations)
@@ -228,15 +200,8 @@ def _cmd_run_exact(args) -> int:
 
 
 def _cmd_run_approx(args) -> int:
-    instance = load_instance(args.instance)
-    if instance.observations is None:
-        raise InvalidInstance("instance carries no observations")
-    quads = instance.quads
-    if args.regularize is not None:
-        quads = regularize(quads, args.regularize, args.seed)
-    stree, dtree = _tree_for(instance, args)
-    kind = "quadratic_ls" if args.surrogate == "quadratic-ls" else "one_hidden_layer"
-    config = ApproxConfig(m=args.m, kind=kind, box_radius=args.box_radius,
+    instance, quads, dtree = _load_for_run(args)
+    config = ApproxConfig(m=args.m, kind=_SURROGATES[args.surrogate], box_radius=args.box_radius,
                           restarts=args.restarts, seed=args.seed)
     value, yhat, diag = approx_message_passing(
         instance.cover, quads, instance.observations, dtree, config
@@ -287,10 +252,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     k_list = [int(t) for t in args.k_list.split(",")] if args.k_list else None
     m_list = [int(t) for t in args.m_list.split(",")] if args.m_list else None
-    kind = "quadratic_ls" if args.surrogate == "quadratic-ls" else "one_hidden_layer"
     spec = bench.InstanceSpec(kind="distributed_sampling", k=args.k,
                               noise=args.noise, seed=args.seed)
-    config = ApproxConfig(m=args.m, kind=kind, seed=args.seed)
+    config = ApproxConfig(m=args.m, kind=_SURROGATES[args.surrogate], seed=args.seed)
     records, aggregates = bench.run_experiment(
         spec, config, k_list=k_list, m_list=m_list,
         repeats=args.repeats, seed=args.seed,
@@ -316,10 +280,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _NUMERICAL as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _INVALID_INPUT as exc:
+    except (InvalidInput, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

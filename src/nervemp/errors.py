@@ -1,35 +1,60 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The base of an error fixes the command-line exit code: an `InvalidInput`
+exits 2, a `NumericalFailure` exits 3, and a bare `NerveMPError` exits 4.
+"""
 
 
 class NerveMPError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidInstance(NerveMPError):
+class InvalidInput(NerveMPError):
+    """The input breaks a rule of the package (exit code 2)."""
+
+
+class NumericalFailure(NerveMPError):
+    """The input admits no numerical answer (exit code 3).  `edge` is the
+    tree edge whose message was being formed, if any."""
+
+    edge = None
+
+    def at(self, where: str, edge=None) -> "NumericalFailure":
+        """The same failure, with `where: ` in front of its message, its
+        attributes kept and `edge` set."""
+        located = type(self)(f"{where}: {self}")
+        located.__dict__.update(self.__dict__, edge=edge)
+        return located
+
+
+class InvalidInstance(InvalidInput):
     """An instance file or constructed object violates a structural invariant."""
 
 
-class DisconnectedNerve(NerveMPError):
+class DisconnectedNerve(InvalidInput):
     """The nerve skeleton is not connected, so no spanning tree exists."""
 
 
-class DimensionMismatch(NerveMPError):
+class DimensionMismatch(InvalidInput):
     """An assignment or matrix has the wrong dimension."""
 
 
-class MissingVariable(NerveMPError):
+class MissingVariable(InvalidInput):
     """A required variable is absent from a variable set."""
 
 
-class UnknownVariable(NerveMPError):
+class UnknownVariable(InvalidInput):
     """A referenced variable is not part of the function's variable set."""
 
 
-class UnboundedBelow(NerveMPError):
+class InfeasibleStats(InvalidInput):
+    """No cover realizes the requested per-subgraph statistics."""
+
+
+class UnboundedBelow(NumericalFailure):
     """The minimum is -inf along a kernel or negative direction of the quadratic.
 
-    `block_size` and `min_eig` describe the eliminated block that showed it;
-    `edge` is the tree edge whose message was being formed, if any.
+    `block_size` and `min_eig` describe the eliminated block that showed it.
     """
 
     def __init__(self, message, edge=None, block_size=None, min_eig=None):
@@ -39,21 +64,17 @@ class UnboundedBelow(NerveMPError):
         self.min_eig = min_eig
 
 
-class NonUniqueArgmin(NerveMPError):
+class NonUniqueArgmin(NumericalFailure):
     """An elimination block was singular; eliminated values are not unique."""
 
 
-class IllDefinedTask(NerveMPError):
+class IllDefinedTask(NumericalFailure):
     """The task is not constant on the constrained minimizer set."""
 
 
-class InnerOptimizationFailed(NerveMPError):
+class InnerOptimizationFailed(NumericalFailure):
     """An inner minimization did not converge within its budget."""
 
 
-class SingularFit(NerveMPError):
+class SingularFit(NumericalFailure):
     """A surrogate fit was rank-deficient beyond ridge rescue."""
-
-
-class InfeasibleStats(NerveMPError):
-    """No cover realizes the requested per-subgraph statistics."""

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cover import DirectedTree, SubgraphCover, compute_partitions
-from .errors import MissingVariable, NonUniqueArgmin, UnboundedBelow
+from .errors import InvalidInstance, MissingVariable, NonUniqueArgmin, NumericalFailure
 from .quadform import ArgminMap, QuadFunc, quad_sum
 
 
@@ -46,6 +46,25 @@ class MessagePassingRun:
     surviving_foreign_vars: tuple  # aggregated vars outside the root's subgraph
 
 
+def _check_inputs(
+    cover: SubgraphCover, quads: Sequence[QuadFunc], observations: Mapping | None = None
+) -> None:
+    """The entry rules the solvers and the loader share: one quadratic per
+    subgraph, each over nodes of its own subgraph, and, when `observations`
+    is given, a value for every observable node."""
+    if len(quads) != cover.t:
+        raise ValueError(f"{len(quads)} quadratics for {cover.t} subgraphs")
+    for i, q in enumerate(quads):
+        extra = set(q.vars) - cover.node_set(i)
+        if extra:
+            raise InvalidInstance(f"quadratic {i} uses nodes {sorted(extra)} outside subgraph {i}")
+    if observations is None:
+        return
+    for v in cover.s_order:
+        if v not in observations:
+            raise MissingVariable(f"observation missing for node {v}")
+
+
 def _fix_observations(q: QuadFunc, obs: Mapping, nodes) -> QuadFunc:
     fixed = {v: obs[v] for v in nodes if v in q.vars}
     return q.fix_vars(fixed) if fixed else q
@@ -57,11 +76,7 @@ def run_message_passing(
     observations: Mapping,
     dtree: DirectedTree,
 ) -> MessagePassingRun:
-    if len(quads) != cover.t:
-        raise ValueError(f"{len(quads)} quadratics for {cover.t} subgraphs")
-    for v in cover.observable_set:
-        if v not in observations:
-            raise MissingVariable(f"observation missing for node {v}")
+    _check_inputs(cover, quads, observations)
     partitions = compute_partitions(cover, dtree)
     messages: dict[int, QuadFunc] = {}
     records: dict[tuple[int, int], EdgeRecord] = {}
@@ -75,14 +90,8 @@ def run_message_passing(
         j = dtree.parent[i]
         try:
             msg, amap = h.partial_minimize(v for v in partitions[(i, j)].y_vars if v in h.vars)
-        except UnboundedBelow as exc:
-            raise UnboundedBelow(
-                f"message along edge ({i} -> {j}) is unbounded below: eliminating "
-                f"{exc.block_size} variables, block smallest eigenvalue {exc.min_eig:.6g}",
-                edge=(i, j),
-                block_size=exc.block_size,
-                min_eig=exc.min_eig,
-            ) from exc
+        except NumericalFailure as exc:
+            raise exc.at(f"message along edge ({i} -> {j})", (i, j)) from exc
         messages[i] = msg
         records[(i, j)] = EdgeRecord(argmin=amap)
     assert len(records) == len(dtree.edges), "one message must cross each tree edge"
@@ -152,11 +161,9 @@ def centralized_solve(
     Returns (value, full minimizer over V, kernel basis embedded over V with
     zero rows at the observable nodes).
     """
+    _check_inputs(cover, quads, observations)
     total = quad_sum(quads, cover.graph.nodes)
     s_nodes = cover.s_order
-    for v in s_nodes:
-        if v not in observations:
-            raise MissingVariable(f"observation missing for node {v}")
     fixed = total.fix_vars({v: observations[v] for v in s_nodes})
     value, xfree, kernel = fixed.global_minimize()
     xhat = np.empty(cover.graph.n)

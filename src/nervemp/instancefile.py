@@ -16,6 +16,7 @@ import numpy as np
 
 from .cover import Graph, SubgraphCover
 from .errors import InvalidInstance
+from .exactmp import _check_inputs
 from .quadform import QuadFunc
 from .solubility import TaskSpec
 
@@ -138,15 +139,8 @@ def from_payload(payload: dict) -> Instance:
         raw_quads = payload.get("quads", [])
         if len(raw_quads) != cover.t:
             raise InvalidInstance(f"{len(raw_quads)} quadratics declared for {cover.t} subgraphs")
-        quads = []
-        for i, qp in enumerate(raw_quads):
-            q = _quad_from_payload(qp, i)
-            extra = set(q.vars) - cover.node_set(i)
-            if extra:
-                raise InvalidInstance(
-                    f"quadratic {i} uses nodes {sorted(extra)} outside subgraph {i}"
-                )
-            quads.append(q)
+        quads = tuple(_quad_from_payload(qp, i) for i, qp in enumerate(raw_quads))
+        _check_inputs(cover, quads)
         task = None
         if "task" in payload:
             tp = payload["task"]
@@ -175,13 +169,17 @@ def from_payload(payload: dict) -> Instance:
                     raise InvalidInstance(f"observation {k} observes node {v} a second time")
                 if not (0 <= v < n):
                     raise InvalidInstance(f"observation {k} names undeclared node {v}")
+                if v not in cover.observable_set:
+                    raise InvalidInstance(
+                        f"observation {k} names node {v}, which no subgraph observes"
+                    )
                 val = _number(val, f"observation {k} at node {v}")
                 if not math.isfinite(val):
                     raise InvalidInstance(f"observation {k} at node {v} is not finite: {val!r}")
                 observations[v] = val
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidInstance(f"malformed instance payload: {exc!r}") from exc
-    return Instance(cover=cover, quads=tuple(quads), task=task, observations=observations)
+    return Instance(cover=cover, quads=quads, task=task, observations=observations)
 
 
 # The one canonical JSON encoding of every file nervemp writes.

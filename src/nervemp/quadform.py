@@ -41,12 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MissingVariable,
-    UnboundedBelow,
-    UnknownVariable,
-)
+from .errors import DimensionMismatch, MissingVariable, UnboundedBelow, UnknownVariable
 
 # Construction tolerances (absolute asymmetry bound, relative PSD slack).
 SYM_TOL = 1e-12
@@ -242,27 +237,34 @@ def _eliminate(A_yy: np.ndarray, b_y: np.ndarray, b_norm: float):
 
     Returns (P, kernel, min_eig, singular).  Eigenvalues within
     RANK_RCOND * sigma_max of zero span the kernel and are dropped from the
-    pseudoinverse P.  Raises UnboundedBelow when the block is indefinite
+    pseudoinverse P.  Raises UnboundedBelow, carrying the block's size and
+    smallest eigenvalue, when the block is indefinite
     (its smallest eigenvalue lies below -PSD_TOL * (1 + sigma_max)) or when
     b_y has a kernel component larger than UNBOUNDED_TOL * (1 + b_norm),
     b_norm being the norm of the whole linear term.
     """
     w, V = np.linalg.eigh(A_yy)
-    block = {"block_size": len(w), "min_eig": float(w[0])}
     if _indefinite(w):
-        raise UnboundedBelow("minimum is -inf: the eliminated block is indefinite", **block)
+        raise _unbounded("the eliminated block is indefinite", w)
     cutoff = RANK_RCOND * max(abs(w[0]), abs(w[-1]))
     live = np.abs(w) > cutoff
     kernel = V[:, ~live]
     if np.linalg.norm(kernel.T @ b_y) > UNBOUNDED_TOL * (1.0 + b_norm):
-        raise UnboundedBelow(
-            "minimum is -inf: the linear term has a component in the kernel "
-            "of the eliminated block",
-            **block,
+        raise _unbounded(
+            "the linear term has a component in the kernel of the eliminated block", w
         )
     # Scaling V in one temporary keeps the peak at three blocks: V, V / w, P.
     P = (V * np.divide(1.0, w, out=np.zeros_like(w), where=live)) @ V.T
     return P, kernel, float(w[0]), bool(w[0] <= cutoff)
+
+
+def _unbounded(reason: str, w: np.ndarray) -> UnboundedBelow:
+    """The failure of a block with ascending eigenvalues w, naming its size
+    and smallest eigenvalue."""
+    return UnboundedBelow(
+        f"minimum is -inf: {reason} (eliminating {len(w)} variables, "
+        f"block smallest eigenvalue {w[0]:.6g})", block_size=len(w), min_eig=float(w[0]),
+    )
 
 
 def quad_sum(terms: Iterable[QuadFunc], variables: Iterable | None = None) -> QuadFunc:

@@ -15,8 +15,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cover import DirectedTree, SubgraphCover, compute_partitions
-from .errors import DimensionMismatch, InnerOptimizationFailed, SingularFit, UnboundedBelow
-from .exactmp import _fix_observations
+from .errors import (DimensionMismatch, InnerOptimizationFailed, NumericalFailure,
+                     SingularFit, UnboundedBelow)
+from .exactmp import _check_inputs, _fix_observations
 from .quadform import QuadFunc, quad_sum
 
 # Stream tags for deriving independent per-edge generators from one seed.
@@ -66,7 +67,11 @@ class SampleSet:
             raise DimensionMismatch("one output per input point required")
         if inputs.shape[0] < 1:
             raise ValueError("a sample set needs at least one point")
+        if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+            raise ValueError("sample inputs and outputs must be finite")
         for d, (lo, hi) in enumerate(self.box):
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ValueError(f"box interval {d} is ({lo}, {hi}), not finite with lo <= hi")
             col = inputs[:, d]
             if np.any(col < lo - 1e-12) or np.any(col > hi + 1e-12):
                 raise ValueError(f"sample outside box in dimension {d}")
@@ -434,6 +439,7 @@ def approx_message_passing(
     the leaves under the rectifier surrogate.  Returns the optimized value,
     the root argmin as a dict, and per-edge diagnostics.
     """
+    _check_inputs(cover, quads, observations)
     partitions = compute_partitions(cover, dtree)
     surrogates: dict[int, object] = {}
     edge_diag = []
@@ -471,8 +477,8 @@ def approx_message_passing(
                         objective, np.arange(len(variables)), np.zeros((1, 0)),
                         (center - r, center + r), config.restarts, _rng(seed, _TAG_OPT, i),
                     )
-                except InnerOptimizationFailed as exc:
-                    raise InnerOptimizationFailed(f"minimization at root {i}: {exc}") from exc
+                except NumericalFailure as exc:
+                    raise exc.at(f"minimization at root {i}") from exc
                 value, yhat = float(vals[0]), pts[0]
             return value, dict(zip(variables, yhat.tolist())), {
                 "edges": edge_diag, "exchanges": len(edge_diag),
@@ -493,13 +499,8 @@ def approx_message_passing(
                 message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j), variables=retained,
             )
             fitted = fit_surrogate(samples, config, _rng(seed, _TAG_FIT, i, j))
-        except UnboundedBelow as exc:
-            raise UnboundedBelow(
-                f"message along edge ({i} -> {j}): {exc}", edge=(i, j),
-                block_size=exc.block_size, min_eig=exc.min_eig,
-            ) from exc
-        except (SingularFit, InnerOptimizationFailed) as exc:
-            raise type(exc)(f"message along edge ({i} -> {j}): {exc}") from exc
+        except NumericalFailure as exc:
+            raise exc.at(f"message along edge ({i} -> {j})", (i, j)) from exc
         surrogates[i] = fitted
         edge_diag.append({
             "edge": (i, j),

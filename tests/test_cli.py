@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from nervemp import cli, errors
 from nervemp.bench import fixture_eg32
 from nervemp.cli import main
 from nervemp.instancefile import dumps, load_instance, save_instance
@@ -21,6 +22,40 @@ UNBOUNDED = {
     "quads": [{"vars": [0, 1], "A": [[0, 0, 1.0]], "b": [0.0, 1.0], "c": 0.0}],
     "observations": [],
 }
+
+
+# The exit code of each error type, written out: 2 invalid input, 3 numerical
+# failure, 4 for the bare base class.
+EXIT_CODES = {
+    "NerveMPError": 4,
+    "InvalidInput": 2,
+    "InvalidInstance": 2,
+    "DisconnectedNerve": 2,
+    "DimensionMismatch": 2,
+    "MissingVariable": 2,
+    "UnknownVariable": 2,
+    "InfeasibleStats": 2,
+    "NumericalFailure": 3,
+    "UnboundedBelow": 3,
+    "NonUniqueArgmin": 3,
+    "IllDefinedTask": 3,
+    "InnerOptimizationFailed": 3,
+    "SingularFit": 3,
+}
+ERROR_TYPES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_error_type_exits_with_its_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "_cmd_gen", fail)
+    assert run_cli("gen", "--out", "unused.json") == EXIT_CODES[error.__name__]
+    assert "planted failure" in capsys.readouterr().err
 
 
 class TestGen:
@@ -154,6 +189,8 @@ class TestRunExact:
          "observation 0 names 0.7, not an integer node id"),
         ([[0, 4.0], [1, 2.0], [4, 4.0], [5, 2.0], [0, 99.0]],
          "observation 4 observes node 0 a second time"),
+        ([[0, 4.0], [1, 2.0], [4, 4.0], [5, 2.0], [2, 100.0]],
+         "observation 4 names node 2, which no subgraph observes"),
     ])
     def test_malformed_observation_exits_two(self, tmp_path, capsys, observations, message):
         payload = json.loads(dumps(fixture_eg32()))
@@ -257,6 +294,18 @@ class TestRunApprox:
         assert code == 3
         err = capsys.readouterr().err
         assert re.search(r"message along edge \(\d+ -> \d+\): 3 samples cannot", err), err
+
+    @pytest.mark.parametrize("command", ["run-exact", "run-approx"])
+    def test_missing_observation_exits_two(self, tmp_path, capsys, command):
+        payload = json.loads(dumps(fixture_eg32()))
+        assert payload["observations"][0][0] == 0
+        del payload["observations"][0]
+        inst_path = tmp_path / "no0.json"
+        inst_path.write_text(json.dumps(payload))
+        out = tmp_path / "res.json"
+        assert run_cli(command, inst_path, "--root", "1", "--seed", "1", "--out", out) == 2
+        assert "observation missing for node 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_is_required(self, tmp_path):
         inst_path = tmp_path / "inst.json"

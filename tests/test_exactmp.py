@@ -6,6 +6,7 @@ minimizing in one shot must agree with any tree-structured elimination.
 """
 
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -28,7 +29,7 @@ from nervemp.cover import (
     direct_tree,
     spanning_tree,
 )
-from nervemp.errors import MissingVariable, NonUniqueArgmin, UnboundedBelow
+from nervemp.errors import InvalidInstance, MissingVariable, NonUniqueArgmin, UnboundedBelow
 from nervemp.exactmp import (
     back_substitute,
     centralized_solve,
@@ -38,6 +39,7 @@ from nervemp.exactmp import (
     run_message_passing,
 )
 from nervemp.quadform import QuadFunc, quad_sum
+from nervemp.surrogate import ApproxConfig, approx_message_passing
 
 
 def random_instance(t, seed, rank_deficient=False, **cover_kw):
@@ -121,6 +123,26 @@ class TestRunMessagePassing:
         dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 1)
         with pytest.raises(MissingVariable):
             run_message_passing(inst.cover, inst.quads, {0: 1.0}, dt)
+
+    def test_quadratic_outside_its_subgraph_rejected_by_every_solver(self):
+        """Quadratic 0 also covers node 3, which only subgraph 2 holds: the
+        loader's rule, applied by both engines and the oracle."""
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        cover = SubgraphCover(g, [(0, 1), (1, 2), (2, 3)], [(0,), (), (3,)])
+        quads = (
+            QuadFunc((0, 1, 3), np.eye(3), [1.0, -1.0, 0.5], 0.0),
+            QuadFunc((1, 2), np.eye(2), [0.0, 1.0], 0.0),
+            QuadFunc((2, 3), np.eye(2), [-1.0, 0.0], 0.0),
+        )
+        obs = {0: 1.0, 3: -2.0}
+        dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 1)
+        message = re.escape("quadratic 0 uses nodes [3] outside subgraph 0")
+        with pytest.raises(InvalidInstance, match=message):
+            run_message_passing(cover, quads, obs, dt)
+        with pytest.raises(InvalidInstance, match=message):
+            approx_message_passing(cover, quads, obs, dt, ApproxConfig(m=10, seed=1))
+        with pytest.raises(InvalidInstance, match=message):
+            centralized_solve(cover, quads, obs)
 
     def test_unbounded_reports_the_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -157,6 +157,7 @@ def test_rejects_node_observed_twice():
     (("quads", 0), {"A": [], "b": [], "c": 0.0}, "malformed instance payload: KeyError('vars')"),
     (("observations",), 5, "malformed instance payload: TypeError"),
     (("observations", 0, 1), None, "malformed instance payload: TypeError"),
+    (("observations", 1, 0), 2, "observation 1 names node 2, which no subgraph observes"),
 ])
 def test_rejects_malformed_payload(path, value, message):
     payload = json.loads(dumps(fixture_eg32()))

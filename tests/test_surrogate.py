@@ -5,6 +5,7 @@ squares surrogates and enough samples, the approximate pipeline recovers
 the exact messages and therefore the exact optimum.
 """
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -58,6 +59,20 @@ class TestSampleMessage:
     def test_box_of_the_wrong_length_rejected(self, box):
         with pytest.raises(DimensionMismatch, match="intervals for 2 variables"):
             SampleSet(variables=(0, 1), box=box, inputs=np.zeros((3, 2)), outputs=np.zeros(3))
+
+    @pytest.mark.parametrize("box, inputs, outputs, message", [
+        ([(-1, 1)], [[np.nan]], [0.0], "inputs and outputs must be finite"),
+        ([(-1, 1)], [[np.inf]], [0.0], "inputs and outputs must be finite"),
+        ([(-1, 1)], [[0.0]], [np.nan], "inputs and outputs must be finite"),
+        ([(-1, 1)], [[0.0]], [-np.inf], "inputs and outputs must be finite"),
+        ([(np.nan, np.inf)], [[0.0]], [0.0], "box interval 0 is (nan, inf)"),
+        ([(-1, np.inf)], [[0.0]], [0.0], "box interval 0 is (-1, inf)"),
+        ([(1, -1)], [[0.0]], [0.0], "box interval 0 is (1, -1)"),
+    ])
+    def test_non_finite_or_inverted_rejected(self, box, inputs, outputs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SampleSet(variables=(0,), box=tuple(box), inputs=np.array(inputs),
+                      outputs=np.array(outputs))
 
 
 class TestFitQuadraticLS:
@@ -157,6 +172,24 @@ class TestApproxMessagePassing:
         cfg = ApproxConfig(m=2, kind="quadratic_ls", seed=5)
         with pytest.raises(SingularFit, match=r"edge \(\d+ -> \d+\): 2 samples cannot"):
             approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+
+    def test_unbounded_edge_names_the_edge_and_the_block(self):
+        """The exact engine's unbounded chain: the leaf's message is sampled
+        through a partial minimization whose block is unbounded."""
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        cover = SubgraphCover(g, [(0, 1, 2), (2, 3)], [(), ()])
+        quads = (
+            QuadFunc((0, 1, 2), np.diag([2.0, 1e-12, 1.0]), [0.0, 1.0, 0.0], 0.0),
+            QuadFunc((2, 3), np.eye(2), np.zeros(2), 0.0),
+        )
+        dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 1)
+        with pytest.raises(UnboundedBelow) as exc_info:
+            approx_message_passing(cover, quads, {}, dt, ApproxConfig(m=10, seed=1))
+        exc = exc_info.value
+        assert (exc.edge, exc.block_size, exc.min_eig) == ((0, 1), 2, 1e-12)
+        assert "message along edge (0 -> 1): minimum is -inf" in str(exc)
+        assert "eliminating 2 variables" in str(exc)
+        assert "smallest eigenvalue 1e-12" in str(exc)
 
     @pytest.mark.parametrize("kind", ["quadratic_ls", "one_hidden_layer"])
     def test_unbounded_root_raises(self, kind):
