@@ -53,7 +53,7 @@ def _check_inputs(
     subgraph, each over nodes of its own subgraph, and, when `observations`
     is given, a value for every observable node."""
     if len(quads) != cover.t:
-        raise ValueError(f"{len(quads)} quadratics for {cover.t} subgraphs")
+        raise InvalidInstance(f"{len(quads)} quadratics declared for {cover.t} subgraphs")
     for i, q in enumerate(quads):
         extra = set(q.vars) - cover.node_set(i)
         if extra:

@@ -136,10 +136,7 @@ def from_payload(payload: dict) -> Instance:
             _node_ids(s, f"observable set {i}") for i, s in enumerate(payload["observables"])
         ]
         cover = SubgraphCover(Graph(n, edges), subgraphs, observables)
-        raw_quads = payload.get("quads", [])
-        if len(raw_quads) != cover.t:
-            raise InvalidInstance(f"{len(raw_quads)} quadratics declared for {cover.t} subgraphs")
-        quads = tuple(_quad_from_payload(qp, i) for i, qp in enumerate(raw_quads))
+        quads = tuple(_quad_from_payload(qp, i) for i, qp in enumerate(payload.get("quads", [])))
         _check_inputs(cover, quads)
         task = None
         if "task" in payload:

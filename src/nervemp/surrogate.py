@@ -33,9 +33,14 @@ DESCENT_STEPS = 5000
 STEP0 = 1.0
 INNER_RESTARTS = 2
 HIDDEN_WIDTH = 64
-EPOCHS = 4000
+EPOCH_CAP = 500
+PLATEAU_WINDOW = 100
+PLATEAU_RTOL = 1e-6
 LEARNING_RATE = 1e-1
 MOMENTUM = 0.9
+# Candidate ridges of the rectifier output layer, half a decade apart;
+# generalized cross-validation picks one per fit.
+RIDGE_GRID = np.logspace(-12.0, 2.0, 29)
 ERROR_RATIO_FLOOR = 1e-6
 
 
@@ -89,7 +94,8 @@ class ApproxConfig:
     ("quadratic_ls" or "one_hidden_layer"), sampling `box_radius`, root
     descent `restarts` and root `seed`.  The rest of the recipe is the
     module constants DESCENT_STEPS, STEP0, INNER_RESTARTS, HIDDEN_WIDTH,
-    EPOCHS, LEARNING_RATE and MOMENTUM."""
+    EPOCH_CAP, PLATEAU_WINDOW, PLATEAU_RTOL, LEARNING_RATE, MOMENTUM and
+    RIDGE_GRID."""
 
     m: int = 80
     kind: str = "quadratic_ls"
@@ -133,7 +139,8 @@ class QuadSurrogate:
 
 @dataclass(frozen=True)
 class MLPSurrogate:
-    """One hidden rectifier layer on standardized inputs and outputs."""
+    """One hidden rectifier layer on standardized inputs and outputs;
+    `epochs` is the number of training epochs the fit used."""
 
     variables: tuple
     W1: np.ndarray
@@ -210,9 +217,22 @@ def _fit_quadratic_ls(samples: SampleSet) -> QuadSurrogate:
 
 
 def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
+    """One hidden rectifier layer: a short training run of every weight,
+    then the output layer in closed form.
+
+    Full-batch Nesterov momentum trains all weights until the training loss
+    has not improved by a relative PLATEAU_RTOL for PLATEAU_WINDOW epochs,
+    or for at most EPOCH_CAP epochs.  For fixed hidden weights the output
+    layer is a linear least-squares problem (variable projection: Golub &
+    Pereyra, SIAM J. Numer. Anal. 1973), so (W2, b2) is then set to the
+    ridge solution over F = [relu(Z W1 + b1), 1], read off one SVD of F.
+    The ridge is the point of RIDGE_GRID that minimizes generalized
+    cross-validation (Golub, Heath & Wahba, Technometrics 1979), computed
+    from the same SVD.
+    """
     X = samples.inputs
     y = samples.outputs
-    d = X.shape[1]
+    m, d = X.shape
     H = HIDDEN_WIDTH
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0)
@@ -221,51 +241,65 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
     y_scale = float(y.std())
     if y_scale < 1e-12:
         y_scale = 1.0
-    Z = (X - x_mean) / x_scale
     t = (y - y_mean) / y_scale
+    # The hidden bias rides as the weight of a constant last input column,
+    # and the output bias as the weight of a constant last feature column,
+    # so all weights form one flat vector [W1; b1 | W2, b2].
+    Z1 = np.ones((m, d + 1))
+    Z1[:, :d] = (X - x_mean) / x_scale
+    F = np.ones((m, H + 1))
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (d + H))
     a2 = np.sqrt(6.0 / (H + 1))
-    W1 = rng.uniform(-a1, a1, size=(d, H))
-    b1 = np.zeros(H)
-    W2 = rng.uniform(-a2, a2, size=H)
-    b2 = 0.0
-    vW1 = np.zeros_like(W1)
-    vb1 = np.zeros_like(b1)
-    vW2 = np.zeros_like(W2)
-    vb2 = 0.0
-    m = X.shape[0]
-    lr = LEARNING_RATE
-    mom = MOMENTUM
-    for _ in range(EPOCHS):
+    n1 = (d + 1) * H
+    weights = np.zeros(n1 + H + 1)
+    weights[: d * H] = rng.uniform(-a1, a1, size=d * H)
+    weights[n1 : n1 + H] = rng.uniform(-a2, a2, size=H)
+    velocity = np.zeros_like(weights)
+    grad = np.empty_like(weights)
+    g1, g2 = grad[:n1].reshape(d + 1, H), grad[n1:]
+    best, stalled, epochs = np.inf, 0, 0
+    while epochs < EPOCH_CAP and stalled < PLATEAU_WINDOW:
         # Nesterov lookahead: gradient at the momentum-extrapolated point.
-        lW1, lb1, lW2, lb2 = W1 + mom * vW1, b1 + mom * vb1, W2 + mom * vW2, b2 + mom * vb2
-        pre = Z @ lW1 + lb1
-        act = np.maximum(pre, 0.0)
-        pred = act @ lW2 + lb2
-        err = pred - t
-        gpred = 2.0 * err / m
-        gW2 = act.T @ gpred
-        gb2 = float(gpred.sum())
-        gact = np.outer(gpred, lW2)
-        gpre = gact * (pre > 0)
-        gW1 = Z.T @ gpre
-        gb1 = gpre.sum(axis=0)
-        vW1 = mom * vW1 - lr * gW1
-        vb1 = mom * vb1 - lr * gb1
-        vW2 = mom * vW2 - lr * gW2
-        vb2 = mom * vb2 - lr * gb2
-        W1 = W1 + vW1
-        b1 = b1 + vb1
-        W2 = W2 + vW2
-        b2 = b2 + vb2
+        look = weights + MOMENTUM * velocity
+        w2 = look[n1:]
+        pre = Z1 @ look[:n1].reshape(d + 1, H)
+        np.maximum(pre, 0.0, out=F[:, :H])
+        err = F @ w2 - t
+        loss = float(err @ err)
+        gpred = err * (2.0 / m)
+        np.matmul(gpred, F, out=g2)
+        np.matmul(Z1.T, (gpred[:, None] * w2[:H]) * (pre > 0), out=g1)
+        velocity *= MOMENTUM
+        velocity -= LEARNING_RATE * grad
+        weights += velocity
+        epochs += 1
+        if loss < best * (1.0 - PLATEAU_RTOL):
+            best, stalled = loss, 0
+        else:
+            stalled += 1
+    W1 = weights[:n1].reshape(d + 1, H)
+    np.maximum(Z1 @ W1, 0.0, out=F[:, :H])
+    U, sv, Vt = np.linalg.svd(F, full_matrices=False)
+    proj = U.T @ t
+    # GCV(lam) = m |(I - S_lam) t|^2 / (m - tr S_lam)^2 with the ridge
+    # smoother S_lam = U diag(s^2 / (s^2 + lam)) U^T; the part of t outside
+    # the range of U is left in the residual at every lam.
+    shrink = sv**2 / (sv**2 + RIDGE_GRID[:, None])
+    outside = max(float(t @ t - proj @ proj), 0.0)
+    rss = np.sum(((1.0 - shrink) * proj) ** 2, axis=1) + outside
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gcv = m * rss / (m - shrink.sum(axis=1)) ** 2
+    ridge = RIDGE_GRID[np.argmin(np.where(np.isfinite(gcv), gcv, np.inf))]
+    out = Vt.T @ (sv / (sv**2 + ridge) * proj)
+    err = F @ out - t
     return MLPSurrogate(
         variables=samples.variables,
-        W1=W1, b1=b1, W2=W2, b2=float(b2),
+        W1=W1[:d], b1=W1[d], W2=out[:H], b2=float(out[H]),
         x_mean=x_mean, x_scale=x_scale,
         y_mean=y_mean, y_scale=y_scale,
         fit_residual=float(np.sqrt(np.mean(err**2))) * y_scale,
-        epochs=EPOCHS,
+        epochs=epochs,
     )
 
 
@@ -312,7 +346,8 @@ def _batched_descent(fun, grad, X0, P, bound):
     trustworthy on the sampling domain, and rectifier surrogates can slope
     downward forever outside it.  Convergence per row: gradient norm below
     tolerance, step collapse (projected stationarity or a nonsmooth kink),
-    or no objective improvement over a 100-step window.
+    or no objective improvement over a 100-step window.  Returns per row the
+    final point, its value, whether it settled and its gradient norm.
     """
     X = np.array(X0, dtype=float)
     f = fun(X)
@@ -362,7 +397,7 @@ def _batched_descent(fun, grad, X0, P, bound):
         | (step < STEP_COLLAPSE)
         | (np.isfinite(f) & (window_gain < 1e-5))
     )
-    return X, f, settled
+    return X, f, settled, gn
 
 
 def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, restarts, rng):
@@ -403,14 +438,16 @@ def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, res
     H = 2.0 * objective.quad.A[np.ix_(free_idx, free_idx)]
     delta = 1e-8 * (1.0 + float(np.linalg.eigvalsh(H)[-1]))
     P = np.linalg.inv(H + delta * np.eye(n_free))
-    Xf, fvals, settled = _batched_descent(
+    Xf, fvals, settled, gnorm = _batched_descent(
         lambda Xf: objective.evaluate_batch(embed(Xf)),
         lambda Xf: objective.gradient_batch(embed(Xf))[:, free_idx],
         X0, P, (lo, hi),
     )
     if not settled.all():
         raise InnerOptimizationFailed(
-            "descent exhausted its budget with gradient norm above tolerance"
+            "descent exhausted its budget with gradient norm above tolerance: "
+            f"{np.count_nonzero(~settled)} of {settled.size} rows unsettled, "
+            f"largest gradient norm {gnorm[~settled].max():.3g}"
         )
     fvals = fvals.reshape(m, R)
     Xf = Xf.reshape(m, R, n_free)

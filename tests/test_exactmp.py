@@ -144,6 +144,21 @@ class TestRunMessagePassing:
         with pytest.raises(InvalidInstance, match=message):
             centralized_solve(cover, quads, obs)
 
+    def test_quadratic_count_rejected_by_every_solver(self):
+        """One quadratic short: the loader's rule and message, applied by
+        both engines and the oracle."""
+        inst = fixture_triangle()
+        quads = inst.quads[:-1]
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
+        message = re.escape("2 quadratics declared for 3 subgraphs")
+        with pytest.raises(InvalidInstance, match=message):
+            run_message_passing(inst.cover, quads, inst.observations, dt)
+        with pytest.raises(InvalidInstance, match=message):
+            approx_message_passing(inst.cover, quads, inst.observations, dt,
+                                   ApproxConfig(m=10, seed=1))
+        with pytest.raises(InvalidInstance, match=message):
+            centralized_solve(inst.cover, quads, inst.observations)
+
     def test_unbounded_reports_the_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
         cover = SubgraphCover(g, [(0, 1), (1, 2)], [(), ()])

@@ -18,7 +18,9 @@ from nervemp.bench import (
     gen_random_quads,
 )
 from nervemp.cover import Graph, SubgraphCover, build_nerve, direct_tree, spanning_tree
-from nervemp.errors import DimensionMismatch, SingularFit, UnboundedBelow
+from nervemp import surrogate
+from nervemp.errors import (DimensionMismatch, InnerOptimizationFailed, SingularFit,
+                            UnboundedBelow)
 from nervemp.exactmp import local_solve, regularize, run_message_passing
 from nervemp.quadform import QuadFunc
 from nervemp.surrogate import (
@@ -118,13 +120,49 @@ class TestFitMLP:
         assert err <= 0.05
 
     def test_constant_samples_give_constant_surrogate(self):
+        """Constant samples standardize to zero targets, whose ridge solution
+        is the zero output layer: the surrogate is the constant itself."""
         ss = sample_message(lambda X: np.full(X.shape[0], -4.0), [(-1, 1)], 30, 1,
                             variables=(0,))
         fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 0)
-        assert fit.fit_residual <= 1e-6  # interpolates the constant samples
+        assert fit.fit_residual <= 1e-6
+        assert not fit.W2.any() and fit.b2 == 0.0
         probe = np.linspace(-1, 1, 11)[:, None]
-        # small wiggle between samples is inherent to the interpolation
-        assert np.max(np.abs(fit.evaluate_batch(probe) + 4.0)) <= 0.02
+        assert np.array_equal(fit.evaluate_batch(probe), np.full(11, -4.0))
+
+    def test_plateau_stops_an_easy_fit_before_the_cap(self):
+        """Three samples of a square: the training loss falls to the rounding
+        floor and stays there, so the plateau stop ends the run early and
+        `epochs` says when."""
+        ss = sample_message(lambda X: X[:, 0] ** 2, [(-1, 1)], 3, 1, variables=(0,))
+        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 1)
+        assert surrogate.PLATEAU_WINDOW <= fit.epochs < surrogate.EPOCH_CAP
+
+    @pytest.mark.parametrize("m, dim", [(80, 1), (80, 6), (20, 6)])
+    def test_output_layer_solves_the_ridge_normal_equations(self, m, dim):
+        """(W2, b2) is the ridge solution over F = [relu(Z W1 + b1), 1] for a
+        ridge on the fixed grid, including with fewer samples than features."""
+        ss = sample_message(lambda X: np.sin(X).sum(axis=1) + X[:, 0] ** 2,
+                            [(-2, 2)] * dim, m, 9, variables=tuple(range(dim)))
+        fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 3)
+        Z = (ss.inputs - fit.x_mean) / fit.x_scale
+        F = np.concatenate([np.maximum(Z @ fit.W1 + fit.b1, 0.0), np.ones((m, 1))], axis=1)
+        t = (ss.outputs - fit.y_mean) / fit.y_scale
+        theta = np.append(fit.W2, fit.b2)
+        rhs = F.T @ t
+        rel = min(
+            np.linalg.norm((F.T @ F + ridge * np.eye(F.shape[1])) @ theta - rhs)
+            for ridge in surrogate.RIDGE_GRID
+        ) / np.linalg.norm(rhs)
+        assert rel <= 1e-10
+
+    def test_same_seed_fits_are_bit_identical(self):
+        ss = sample_message(lambda X: X[:, 0] * X[:, 1], [(-2, 2)] * 2, 40, 5, variables=(0, 1))
+        fits = [fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 11) for _ in range(2)]
+        for name in ("W1", "b1", "W2"):
+            assert np.array_equal(getattr(fits[0], name), getattr(fits[1], name))
+        assert (fits[0].b2, fits[0].epochs, fits[0].fit_residual) == (
+            fits[1].b2, fits[1].epochs, fits[1].fit_residual)
 
     def test_analytic_gradient_matches_finite_differences(self):
         ss = sample_message(lambda X: X[:, 0] ** 2 + 0.5 * X[:, 1], [(-2, 2)] * 2, 80, 9,
@@ -172,6 +210,24 @@ class TestApproxMessagePassing:
         cfg = ApproxConfig(m=2, kind="quadratic_ls", seed=5)
         with pytest.raises(SingularFit, match=r"edge \(\d+ -> \d+\): 2 samples cannot"):
             approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+
+    def test_unsettled_descent_names_the_edge_and_counts_the_rows(self, monkeypatch):
+        """With no descent steps every inner row keeps its start, whose
+        gradient is above tolerance: all m x INNER_RESTARTS rows of the
+        edge's sampling descent are unsettled."""
+        monkeypatch.setattr(surrogate, "DESCENT_STEPS", 0)
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 1)
+        cfg = ApproxConfig(m=10, kind="one_hidden_layer", seed=1)
+        with pytest.raises(InnerOptimizationFailed) as exc_info:
+            approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+        rows = 10 * surrogate.INNER_RESTARTS
+        found = re.search(r"message along edge \(0 -> 1\): .*: (\d+) of (\d+) rows unsettled, "
+                          r"largest gradient norm (\S+)$", str(exc_info.value))
+        assert found, str(exc_info.value)
+        assert (int(found[1]), int(found[2])) == (rows, rows)
+        assert float(found[3]) > surrogate.GRAD_TOL
+        assert exc_info.value.edge == (0, 1)
 
     def test_unbounded_edge_names_the_edge_and_the_block(self):
         """The exact engine's unbounded chain: the leaf's message is sampled
