@@ -164,9 +164,6 @@ class QuadFunc:
             )
         return np.einsum("bi,ij,bj->b", X, self.A, X) + X @ self.b + self.c
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(X, dtype=float) @ self.A + self.b
-
     def embed(self, superset: Iterable) -> "QuadFunc":
         return quad_sum([self], superset)
 

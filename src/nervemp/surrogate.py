@@ -159,13 +159,6 @@ class MLPSurrogate:
         H = np.maximum(Z @ self.W1 + self.b1, 0.0)
         return self.y_mean + self.y_scale * (H @ self.W2 + self.b2)
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        Z = (np.asarray(X, dtype=float) - self.x_mean) / self.x_scale
-        pre = Z @ self.W1 + self.b1
-        mask = (pre > 0).astype(float)
-        dZ = (mask * self.W2) @ self.W1.T
-        return self.y_scale * dZ / self.x_scale
-
 
 def sample_message(
     h: Callable[[np.ndarray], np.ndarray],
@@ -328,19 +321,74 @@ class _NodeObjective:
             out = out + s.evaluate_batch(X[:, idx])
         return out
 
-    def gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        g = self.quad.gradient_batch(X)
+    def reduced(self, free_idx, Xk: np.ndarray):
+        """Value and gradient over the variables at `free_idx` alone, one
+        row per row of `Xk` (values of the other variables, in objective
+        order).
+
+        The fixed coordinates fold into per-row offsets, computed once: the
+        quadratic becomes Xf A_ff Xf' + lin Xf' + const with the per-row
+        lin = b_f + 2 X_k A_kf and const = the quadratic at the fixed part,
+        and the rectifier children become one stacked hidden layer over the
+        free columns, with input weights W1 / x_scale, a per-row
+        pre-activation offset that absorbs b1, the centering and the fixed
+        coordinates, and output weights y_scale W2.  The returned callable
+        maps a batch Xf of free values to (values, gradients) in one pass.
+        The objective has at least one rectifier child; a pure quadratic is
+        minimized in closed form instead.
+        """
+        n = len(self.variables)
+        free = np.asarray(free_idx, dtype=int)
+        is_free = np.zeros(n, dtype=bool)
+        is_free[free] = True
+        keep = np.flatnonzero(~is_free)
+        n_free = free.size
+        pos = np.empty(n, dtype=int)
+        pos[free] = np.arange(n_free)
+        pos[keep] = np.arange(keep.size)
+        A, b = self.quad.A, self.quad.b
+        A_kf = A[np.ix_(keep, free)]
+        lin = b[free] + 2.0 * Xk @ A_kf
+        const = ((Xk @ A[np.ix_(keep, keep)]) * Xk).sum(axis=1) + Xk @ b[keep] + self.quad.c
+        Ws, offsets, w2s = [A[np.ix_(free, free)]], [], []
         for s, idx in zip(self.mlps, self._mlp_idx):
-            g[:, idx] += s.gradient_batch(X[:, idx])
-        return g
+            W_in = s.W1 / s.x_scale[:, None]
+            on_free = is_free[idx]
+            W = np.zeros((n_free, W_in.shape[1]))
+            W[pos[idx[on_free]]] = W_in[on_free]
+            Ws.append(W)
+            offsets.append(s.b1 - s.x_mean @ W_in + Xk[:, pos[idx[~on_free]]] @ W_in[~on_free])
+            w2s.append(s.y_scale * s.W2)
+            const = const + (s.y_mean + s.y_scale * s.b2)
+        # One product gives the quadratic's Xf A_ff and every pre-activation.
+        AW = np.concatenate(Ws, axis=1)
+        W_out = AW[:, n_free:].T
+        offset = np.concatenate(offsets, axis=1)
+        w2 = np.concatenate(w2s)
+
+        def value_and_gradient(Xf):
+            # The hidden layer is worked in place in the product's buffer:
+            # pre-activations, rectified units, then the masked output weights.
+            T = Xf @ AW
+            XA, hidden = T[:, :n_free], T[:, n_free:]
+            hidden += offset
+            np.maximum(hidden, 0.0, out=hidden)
+            value = np.einsum("bi,bi->b", XA + lin, Xf) + hidden @ w2 + const
+            np.multiply(hidden > 0, w2, out=hidden)
+            return value, 2.0 * XA + lin + hidden @ W_out
+
+        return value_and_gradient
 
 
-def _batched_descent(fun, grad, X0, P, bound):
+def _batched_descent(fun_grad, X0, P, bound):
     """Projected descent with per-row Armijo backtracking / growth.
 
-    The descent direction of a gradient row g is g @ P; with P the inverse
-    of the known quadratic block the loop is a damped Newton method on
-    the smooth part, which plain gradient steps cannot match on
+    `fun_grad` maps a batch of rows to their values and gradients in one
+    pass.  It runs once at the start and once per iteration, on the
+    candidate rows; a row whose step is rejected keeps its point and so its
+    gradient.  The descent direction of a gradient row g is g @ P; with P
+    the inverse of the known quadratic block the loop is a damped Newton
+    method on the smooth part, which plain gradient steps cannot match on
     ill-conditioned blocks within the budget.  `bound` is a (lo, hi) pair
     that clips iterates per coordinate: surrogate sums are only
     trustworthy on the sampling domain, and rectifier surrogates can slope
@@ -350,7 +398,7 @@ def _batched_descent(fun, grad, X0, P, bound):
     final point, its value, whether it settled and its gradient norm.
     """
     X = np.array(X0, dtype=float)
-    f = fun(X)
+    f, g = fun_grad(X)
     step = np.full(X.shape[0], STEP0)
     step_max = max(1e3 * STEP0, 1.0)
     converged = np.zeros(X.shape[0], dtype=bool)
@@ -363,16 +411,16 @@ def _batched_descent(fun, grad, X0, P, bound):
             active = ~converged
             if not active.any():
                 break
-            g = grad(X)
             gn = np.sqrt(np.einsum("bi,bi->b", g, g))
             cand = X - step[:, None] * (g @ P)
             np.clip(cand, bound[0], bound[1], out=cand)
             move = X - cand
             decrease = np.einsum("bi,bi->b", g, move)
-            fc = fun(cand)
+            fc, gc = fun_grad(cand)
             ok = active & np.isfinite(fc) & (fc <= f - ARMIJO_C1 * decrease) & (fc < f)
             X[ok] = cand[ok]
             f[ok] = fc[ok]
+            g[ok] = gc[ok]
             step[ok] = np.minimum(step[ok] * STEP_GROW, step_max)
             rej = active & ~ok
             step[rej] *= 0.5
@@ -387,7 +435,6 @@ def _batched_descent(fun, grad, X0, P, bound):
                 window_gain = (checkpoint - f) / (1.0 + np.abs(f))
                 converged |= active & (window_gain < 1e-7)
                 checkpoint = f.copy()
-        g = grad(X)
         gn = np.sqrt(np.einsum("bi,bi->b", g, g))
     # A row counts as failed only when it is still making material progress
     # at the end of the budget (or produced non-finite values).
@@ -407,8 +454,11 @@ def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, res
 
     `bounds` is a (lo, hi) pair of arrays over the free variables; starts
     are drawn uniformly inside and iterates stay clipped to it.  Restarts
-    multiply the batch.  Pure-quadratic objectives are minimized exactly
-    instead, and return values only.
+    multiply the batch.  The descent runs over the free variables only:
+    `_NodeObjective.reduced` folds each row's fixed coordinates into per-row
+    offsets once, and each step is one value-and-gradient pass.
+    Pure-quadratic objectives are minimized exactly instead, and return
+    values only.
     """
     m, n_free = fixed_batch.shape[0], len(free_idx)
     keep = [k for k in range(len(objective.variables)) if k not in free_idx]
@@ -424,14 +474,7 @@ def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, res
         return objective.evaluate_batch(base), base
     lo, hi = bounds
     R = restarts
-    base_rep = np.repeat(base, R, axis=0)
     X0 = rng.uniform(size=(m * R, n_free)) * (hi - lo) + lo
-
-    def embed(Xf):
-        full = base_rep.copy()
-        full[:, free_idx] = Xf
-        return full
-
     # Damped-Newton preconditioner from the exact quadratic block: the
     # rectifier terms are piecewise linear, so the smooth curvature is
     # entirely in the quadratic and is known in closed form.
@@ -439,9 +482,7 @@ def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, res
     delta = 1e-8 * (1.0 + float(np.linalg.eigvalsh(H)[-1]))
     P = np.linalg.inv(H + delta * np.eye(n_free))
     Xf, fvals, settled, gnorm = _batched_descent(
-        lambda Xf: objective.evaluate_batch(embed(Xf)),
-        lambda Xf: objective.gradient_batch(embed(Xf))[:, free_idx],
-        X0, P, (lo, hi),
+        objective.reduced(free_idx, np.repeat(fixed_batch, R, axis=0)), X0, P, (lo, hi),
     )
     if not settled.all():
         raise InnerOptimizationFailed(

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nervemp.bench import (
     fixture_triangle,
@@ -165,16 +166,144 @@ class TestFitMLP:
             fits[1].b2, fits[1].epochs, fits[1].fit_residual)
 
     def test_analytic_gradient_matches_finite_differences(self):
+        """The reduced gradient of an objective that is the fit alone, with
+        every variable free, is the fit's gradient."""
         ss = sample_message(lambda X: X[:, 0] ** 2 + 0.5 * X[:, 1], [(-2, 2)] * 2, 80, 9,
                             variables=(0, 1))
         fit = fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 3)
         X = np.array([[0.4, -0.9], [-1.2, 1.1]])
-        g = fit.gradient_batch(X)
+        objective = surrogate._NodeObjective((0, 1), [], [fit])
+        _, g = objective.reduced([0, 1], np.zeros((2, 0)))(X)
         for d in range(2):
             e = np.zeros(2)
             e[d] = 1e-6
             num = (fit.evaluate_batch(X + e) - fit.evaluate_batch(X - e)) / 2e-6
             assert np.max(np.abs(g[:, d] - num)) < 1e-4
+
+
+def _random_node_objective(seed, modes, root):
+    """A node objective over 2-6 variables: a PSD quadratic plus one fitted
+    rectifier child per entry of `modes`, whose variables are all free, all
+    fixed or mixed.  Returns the objective, the free indices and the fixed
+    rows (one empty row when `root`, all variables free)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    variables = tuple(sorted(rng.choice(50, size=n, replace=False).tolist()))
+    if root:
+        free, modes = np.arange(n), ["free"] * len(modes)
+    else:
+        free = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    fixed = np.setdiff1d(np.arange(n), free)
+    G = rng.standard_normal((n, n))
+    quad = QuadFunc(variables, G @ G.T / n, rng.standard_normal(n), rng.standard_normal())
+    mlps = []
+    for mode in modes:
+        if mode == "free":
+            idx = rng.choice(free, size=int(rng.integers(1, free.size + 1)), replace=False)
+        elif mode == "fixed":
+            idx = rng.choice(fixed, size=int(rng.integers(1, fixed.size + 1)), replace=False)
+        else:
+            rest = rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False)
+            idx = np.unique(np.concatenate([[rng.choice(free), rng.choice(fixed)], rest]))
+            rng.shuffle(idx)
+        a, c = rng.standard_normal((2, idx.size))
+        ss = sample_message(lambda X: np.sin(X @ a) + (X @ c) ** 2, [(-3, 3)] * idx.size, 12,
+                            int(rng.integers(2**31)), variables=tuple(variables[k] for k in idx))
+        mlps.append(fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"),
+                                  int(rng.integers(2**31))))
+    rows = 1 if root else 5
+    fixed_rows = rng.uniform(-3, 3, size=(rows, fixed.size))
+    return surrogate._NodeObjective(variables, [quad], mlps), free, fixed_rows
+
+
+class TestReducedObjective:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.lists(st.sampled_from(["free", "fixed", "mixed"]), min_size=1, max_size=3),
+           st.booleans())
+    def test_value_and_gradient_match_the_embedded_objective(self, seed, modes, root):
+        """The reduced value equals the objective at the embedded points, and
+        the reduced gradient matches central differences of the objective
+        (away from the rectifier kinks, where it is one-sided)."""
+        objective, free, fixed_rows = _random_node_objective(seed, modes, root)
+        n = len(objective.variables)
+        rows = fixed_rows.shape[0]
+        rng = np.random.default_rng(seed + 1)
+        Xf = rng.uniform(-3, 3, size=(rows, free.size))
+        embed = np.zeros((rows, n))
+        embed[:, free] = Xf
+        embed[:, np.setdiff1d(np.arange(n), free)] = fixed_rows
+        value, grad = objective.reduced(free, fixed_rows)(Xf)
+        full = objective.evaluate_batch(embed)
+        assert np.all(np.abs(value - full) <= 1e-12 * (1.0 + np.abs(full)))
+
+        def hidden_signs(X):
+            return np.concatenate(
+                [((X[:, idx] - s.x_mean) / s.x_scale @ s.W1 + s.b1) > 0
+                 for s, idx in zip(objective.mlps, objective._mlp_idx)], axis=1)
+
+        h = 1e-6
+        for d, k in enumerate(free):
+            step = np.zeros(n)
+            step[k] = h
+            smooth = (hidden_signs(embed + step) == hidden_signs(embed - step)).all(axis=1)
+            num = (objective.evaluate_batch(embed + step)
+                   - objective.evaluate_batch(embed - step)) / (2 * h)
+            assert np.all(np.abs(grad[smooth, d] - num[smooth]) <= 1e-6 * (1.0 + np.abs(full[smooth])))
+
+
+class TestInnerDescent:
+    @staticmethod
+    def _recording(monkeypatch):
+        """Replace the descent with one that counts the value-and-gradient
+        passes of each call and keeps its pass and its result."""
+        descent = surrogate._batched_descent
+        runs = []
+
+        def recording(fun_grad, X0, P, bound):
+            run = {"passes": 0, "fun_grad": fun_grad}
+            runs.append(run)
+
+            def counted(X):
+                run["passes"] += 1
+                return fun_grad(X)
+            run["result"] = descent(counted, X0, P, bound)
+            return run["result"]
+        monkeypatch.setattr(surrogate, "_batched_descent", recording)
+        return runs
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_one_pass_per_step_plus_one_at_the_start(self, monkeypatch, steps):
+        """With a budget too short to settle, the first descent (edge 0 -> 1)
+        runs every step of it, and evaluates one pass per step and one at
+        its start."""
+        runs = self._recording(monkeypatch)
+        monkeypatch.setattr(surrogate, "DESCENT_STEPS", steps)
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 1)
+        cfg = ApproxConfig(m=10, kind="one_hidden_layer", seed=1)
+        with pytest.raises(InnerOptimizationFailed):
+            approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+        assert [run["passes"] for run in runs] == [steps + 1]
+
+    def test_returned_gradient_norms_are_those_of_the_returned_points(self, monkeypatch):
+        """A row keeps the gradient of the last point it accepted, so the
+        norms the descent returns are a fresh pass's at its final points, on
+        the inner descent and on the root's."""
+        runs = self._recording(monkeypatch)
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 1)
+        cfg = ApproxConfig(m=10, kind="one_hidden_layer", seed=1)
+        approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
+        assert [len(run["result"][0]) for run in runs] == [10 * surrogate.INNER_RESTARTS,
+                                                           cfg.restarts]
+        for run in runs:
+            X, f, settled, gnorm = run["result"]
+            value, grad = run["fun_grad"](X)
+            assert 2 <= run["passes"] <= surrogate.DESCENT_STEPS + 1
+            assert settled.all()
+            assert np.array_equal(value, f)
+            assert np.array_equal(np.sqrt(np.einsum("bi,bi->b", grad, grad)), gnorm)
 
 
 class TestApproxMessagePassing:
