@@ -21,6 +21,12 @@ pseudoinverse, smallest eigenvalue, singular flag and kernel, and for the
 unboundedness test.  It owns the elimination tolerances RANK_RCOND and
 UNBOUNDED_TOL.
 
+`quad_sum`, `fix_vars` and `partial_minimize` work out from variable names
+which positions to add, fix or eliminate, then call `_assemble`, `_fix_at`
+and `_minimize_at`, which take those positions as integer arrays.  The exact
+engine, whose positions are fixed before any number is read, calls the
+position forms directly, so both do the same arithmetic.
+
 Inputs are validated once, at the boundary.  The public constructor checks
 distinct variables, finite coefficients, symmetry to SYM_TOL and PSD to
 PSD_TOL.  Sums, principal submatrices and Schur complements of PSD matrices
@@ -181,12 +187,18 @@ class QuadFunc:
         ki = [i for i, v in enumerate(self.vars) if v not in fixed]
         fi = [i for i, v in enumerate(self.vars) if v in fixed]
         f = np.array([float(fixed[self.vars[i]]) for i in fi])
-        A_kk = self.A[np.ix_(ki, ki)]
-        A_kf = self.A[np.ix_(ki, fi)]
-        A_ff = self.A[np.ix_(fi, fi)]
+        return self._fix_at(tuple(self.vars[i] for i in ki), ki, fi, f)
+
+    def _fix_at(self, keep: tuple, ki, fi, f: np.ndarray) -> "QuadFunc":
+        """`fix_vars` by position: the variables at positions `fi` take the
+        values `f`, and the result is over those at `ki`, named `keep`."""
+        rows = self.A.take(ki, 0)
+        A_kk = rows.take(ki, 1)
+        A_kf = rows.take(fi, 1)
+        A_ff = self.A.take(fi, 0).take(fi, 1)
         b_new = self.b[ki] + 2.0 * A_kf @ f
         c_new = float(f @ A_ff @ f + self.b[fi] @ f + self.c)
-        return QuadFunc._trusted(tuple(self.vars[i] for i in ki), A_kk, b_new, c_new)
+        return QuadFunc._trusted(keep, A_kk, b_new, c_new)
 
     def partial_minimize(self, elim: Iterable) -> tuple["QuadFunc", ArgminMap]:
         elim = set(elim)
@@ -197,12 +209,19 @@ class QuadFunc:
         yi = [i for i, v in enumerate(self.vars) if v in elim]
         keep = tuple(self.vars[i] for i in xi)
         ys = tuple(self.vars[i] for i in yi)
+        return self._minimize_at(keep, ys, xi, yi)
+
+    def _minimize_at(self, keep: tuple, ys: tuple, xi, yi) -> tuple["QuadFunc", ArgminMap]:
+        """`partial_minimize` by position: the variables at positions `yi`,
+        named `ys`, are eliminated and those at `xi`, named `keep`, kept."""
         if not ys:
             amap = ArgminMap((), keep, np.zeros((0, len(keep))), np.zeros(0))
             return self, amap
-        A_xx = self.A[np.ix_(xi, xi)]
-        A_xy = self.A[np.ix_(xi, yi)]
-        A_yy = self.A[np.ix_(yi, yi)]
+        rows = self.A.take(xi, 0)
+        A_xx = rows.take(xi, 1)
+        A_xy = rows.take(yi, 1)
+        del rows  # n_x by n: freed before the elimination's larger temporaries
+        A_yy = self.A.take(yi, 0).take(yi, 1)
         b_x = self.b[xi]
         b_y = self.b[yi]
         P, _, min_eig, singular = _eliminate(A_yy, b_y, np.linalg.norm(self.b))
@@ -278,18 +297,26 @@ def quad_sum(terms: Iterable[QuadFunc], variables: Iterable | None = None) -> Qu
         variables = orders.pop() if len(orders) == 1 else tuple(sorted(set().union(*orders)))
     variables = tuple(variables)
     pos = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    if len(pos) != n:
+    if len(pos) != len(variables):
         raise ValueError(f"duplicate variables in {variables}")
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    c = 0.0
+    placed = []
     for q in terms:
         missing = [v for v in q.vars if v not in pos]
         if missing:
             raise MissingVariable(f"variables {missing} not in superset {variables}")
-        idx = [pos[v] for v in q.vars]
-        A[np.ix_(idx, idx)] += q.A
+        placed.append((np.array([pos[v] for v in q.vars], dtype=np.intp), q))
+    return _assemble(variables, placed)
+
+
+def _assemble(variables: tuple, placed: Iterable) -> QuadFunc:
+    """`quad_sum` by position: each (positions, quadratic) pair is added,
+    in order, onto zeros over `variables` at those 1-D integer positions."""
+    n = len(variables)
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    c = 0.0
+    for idx, q in placed:
+        A[idx[:, None], idx] += q.A
         b[idx] += q.b
         c += q.c
     return QuadFunc._trusted(variables, A, b, c)

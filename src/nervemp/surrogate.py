@@ -252,25 +252,32 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
     grad = np.empty_like(weights)
     g1, g2 = grad[:n1].reshape(d + 1, H), grad[n1:]
     best, stalled, epochs = np.inf, 0, 0
-    while epochs < EPOCH_CAP and stalled < PLATEAU_WINDOW:
-        # Nesterov lookahead: gradient at the momentum-extrapolated point.
-        look = weights + MOMENTUM * velocity
-        w2 = look[n1:]
-        pre = Z1 @ look[:n1].reshape(d + 1, H)
-        np.maximum(pre, 0.0, out=F[:, :H])
-        err = F @ w2 - t
-        loss = float(err @ err)
-        gpred = err * (2.0 / m)
-        np.matmul(gpred, F, out=g2)
-        np.matmul(Z1.T, (gpred[:, None] * w2[:H]) * (pre > 0), out=g1)
-        velocity *= MOMENTUM
-        velocity -= LEARNING_RATE * grad
-        weights += velocity
-        epochs += 1
-        if loss < best * (1.0 - PLATEAU_RTOL):
-            best, stalled = loss, 0
-        else:
-            stalled += 1
+    # A step size too large for the data makes the weights blow up; that is
+    # reported here, as a failed fit, before the SVD meets it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while epochs < EPOCH_CAP and stalled < PLATEAU_WINDOW:
+            # Nesterov lookahead: gradient at the momentum-extrapolated point.
+            look = weights + MOMENTUM * velocity
+            w2 = look[n1:]
+            pre = Z1 @ look[:n1].reshape(d + 1, H)
+            np.maximum(pre, 0.0, out=F[:, :H])
+            err = F @ w2 - t
+            loss = float(err @ err)
+            if not np.isfinite(loss):
+                raise SingularFit(f"training loss turned non-finite at epoch {epochs + 1}")
+            gpred = err * (2.0 / m)
+            np.matmul(gpred, F, out=g2)
+            np.matmul(Z1.T, (gpred[:, None] * w2[:H]) * (pre > 0), out=g1)
+            velocity *= MOMENTUM
+            velocity -= LEARNING_RATE * grad
+            weights += velocity
+            epochs += 1
+            if loss < best * (1.0 - PLATEAU_RTOL):
+                best, stalled = loss, 0
+            else:
+                stalled += 1
+        if not np.isfinite(weights).all():
+            raise SingularFit(f"training weights turned non-finite at epoch {epochs}")
     W1 = weights[:n1].reshape(d + 1, H)
     np.maximum(Z1 @ W1, 0.0, out=F[:, :H])
     U, sv, Vt = np.linalg.svd(F, full_matrices=False)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from nervemp import cli, errors
+from nervemp import cli, errors, surrogate
 from nervemp.bench import fixture_eg32
 from nervemp.cli import main
 from nervemp.instancefile import dumps, load_instance, save_instance
@@ -294,6 +294,21 @@ class TestRunApprox:
         assert code == 3
         err = capsys.readouterr().err
         assert re.search(r"message along edge \(\d+ -> \d+\): 3 samples cannot", err), err
+
+    def test_diverging_fit_exits_three(self, tmp_path, capsys, monkeypatch):
+        """A training run whose loss blows up is a failed fit (exit 3), not
+        invalid input, and it writes nothing."""
+        monkeypatch.setattr(surrogate, "LEARNING_RATE", 1.0)
+        inst_path = tmp_path / "inst.json"
+        save_instance(fixture_eg32(), inst_path)
+        out = tmp_path / "res.json"
+        code = run_cli("run-approx", inst_path, "--surrogate", "mlp", "--root", "1",
+                       "--regularize", "1e-2", "--seed", "3", "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"message along edge \(\d+ -> \d+\): training loss turned "
+                         r"non-finite", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run-exact", "run-approx"])
     def test_missing_observation_exits_two(self, tmp_path, capsys, command):

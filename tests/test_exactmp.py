@@ -29,6 +29,7 @@ from nervemp.cover import (
     direct_tree,
     spanning_tree,
 )
+from nervemp import cover as cover_module, exactmp
 from nervemp.errors import InvalidInstance, MissingVariable, NonUniqueArgmin, UnboundedBelow
 from nervemp.exactmp import (
     back_substitute,
@@ -413,6 +414,108 @@ def test_exact_pipeline_factors_each_block_once(monkeypatch):
     assert calls["eigvalsh"] == 0
     assert calls["eigh"] <= len(dt.edges) + 1
     assert set(calls) <= {"eigh"}
+
+
+def test_exact_pipeline_builds_the_partitions_once(monkeypatch):
+    """The elimination plan carries the edge partitions: one
+    run_message_passing -> local_solve -> back_substitute computes them once,
+    in run_message_passing, and back_substitute computes none."""
+    cover = gen_random_cover(20, 3, extra_edge_prob=2 / 20)
+    quads = regularize(gen_random_quads(cover, 4), 1e-3, 5)
+    obs = gen_random_observations(cover, 6)
+    dt = direct_tree(spanning_tree(build_nerve(cover), "random", cover, seed=7), 2)
+    calls = []
+
+    def counted(*args, _fn=compute_partitions):
+        calls.append(args)
+        return _fn(*args)
+
+    for module in (exactmp, cover_module):
+        monkeypatch.setattr(module, "compute_partitions", counted)
+    run = run_message_passing(cover, quads, obs, dt)
+    assert len(calls) == 1
+    _, yhat, _ = local_solve(run)
+    back_substitute(run, yhat)
+    assert len(calls) == 1
+
+
+def _reference_run(cover, quads, obs, dtree):
+    """The exact engine written with the public set-based operations: fix
+    each own quadratic's observables, sum it with the children's messages,
+    eliminate the edge's y-set.  Returns the messages, the argmin maps and
+    the aggregated message."""
+    partitions = compute_partitions(cover, dtree)
+    messages, maps = {}, {}
+    for i in dtree.postorder():
+        fixed = {v: obs[v] for v in cover.observables[i] if v in quads[i].vars}
+        own = quads[i].fix_vars(fixed) if fixed else quads[i]
+        h = quad_sum([own] + [messages[c] for c in dtree.children[i]])
+        if i == dtree.root:
+            return messages, maps, h
+        edge = (i, dtree.parent[i])
+        messages[i], maps[edge] = h.partial_minimize(
+            v for v in partitions[edge].y_vars if v in h.vars)
+
+
+def _reference_back_substitute(cover, obs, dtree, maps, aggregated, yhat):
+    assign = {v: float(obs[v]) for v in cover.s_order}
+    assign.update(zip(aggregated.vars, yhat.tolist()))
+    for i in reversed(dtree.postorder()[:-1]):
+        assign.update(maps[(i, dtree.parent[i])].apply(assign))
+    return np.array([assign.get(v, 0.0) for v in cover.graph.nodes])
+
+
+def _scrambled(quads, seed):
+    """The same kind of quadratics with each variable order shuffled and,
+    in some, one variable dropped (a principal submatrix stays PD), so that
+    sums keep a lone term's own order and y-sets name absent nodes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for q in quads:
+        order = rng.permutation(len(q.vars))
+        if len(order) > 1 and rng.random() < 0.3:
+            order = order[1:]
+        out.append(QuadFunc([q.vars[k] for k in order], q.A[np.ix_(order, order)],
+                            q.b[order], q.c))
+    return tuple(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.integers(min_value=2, max_value=30), seed=st.integers(min_value=0, max_value=10_000),
+       root_pick=st.integers(min_value=0, max_value=10_000), scramble=st.booleans())
+def test_plan_driven_run_equals_the_set_based_traversal(t, seed, root_pick, scramble):
+    """For every tree strategy and a random root, every message, argmin map
+    and the aggregated message of run_message_passing equal, bit for bit,
+    those of the set-based reference traversal, back-substitution equals
+    the reference replay, and the plan's predicted message sizes and
+    elimination cost are the realized ones."""
+    cover, quads, obs = random_instance(t, seed)
+    if scramble:
+        quads = _scrambled(quads, seed)
+    nerve = build_nerve(cover)
+    for strategy in ("bfs", "random", "max_overlap"):
+        dtree = direct_tree(spanning_tree(nerve, strategy, cover, seed=seed), root_pick % t)
+        run = run_message_passing(cover, quads, obs, dtree)
+        messages, maps, aggregated = _reference_run(cover, quads, obs, dtree)
+        assert run.messages.keys() == messages.keys()
+        for i, msg in messages.items():
+            assert message_digest(run.messages[i]) == message_digest(msg)
+        assert run.edge_records.keys() == maps.keys()
+        for edge, want in maps.items():
+            got = run.edge_records[edge].argmin
+            assert (got.eliminated, got.inputs) == (want.eliminated, want.inputs)
+            assert got.M.tobytes() == want.M.tobytes() and got.M.shape == want.M.shape
+            assert got.m.tobytes() == want.m.tobytes()
+            assert (got.min_eig, got.singular) == (want.min_eig, want.singular)
+        assert message_digest(run.aggregated) == message_digest(aggregated)
+        plan = exactmp._plan(cover, quads, dtree)
+        assert plan.message_dims == sum(len(m.vars) for m in messages.values())
+        assert plan.message_entries == sum(m.A.size for m in messages.values())
+        sizes = [(len(a.inputs), len(a.eliminated)) for a in maps.values()]
+        assert plan.elimination_cost == sum(y**3 + y * y * x + x * x * y for x, y in sizes)
+        _, yhat, _ = local_solve(run)
+        want_x = _reference_back_substitute(cover, obs, dtree, maps, aggregated, yhat)
+        assert back_substitute(run, yhat).tobytes() == want_x.tobytes()
 
 
 def _coeffs(q):

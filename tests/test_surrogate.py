@@ -157,6 +157,16 @@ class TestFitMLP:
         ) / np.linalg.norm(rhs)
         assert rel <= 1e-10
 
+    def test_diverging_training_is_a_failed_fit(self, monkeypatch):
+        """A step size too large for the data drives the training loss to
+        infinity: the fit fails as SingularFit, not in the SVD after it,
+        and no overflow warning escapes."""
+        monkeypatch.setattr(surrogate, "LEARNING_RATE", 1.0)
+        ss = sample_message(lambda X: (X**2).sum(axis=1), [(-1, 1)] * 3, 40, 0,
+                            variables=(0, 1, 2))
+        with pytest.raises(SingularFit, match="training loss turned non-finite at epoch"):
+            fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 1)
+
     def test_same_seed_fits_are_bit_identical(self):
         ss = sample_message(lambda X: X[:, 0] * X[:, 1], [(-2, 2)] * 2, 40, 5, variables=(0, 1))
         fits = [fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 11) for _ in range(2)]
