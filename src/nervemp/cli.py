@@ -168,7 +168,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run_exact(args) -> int:
     instance, quads, dtree = _load_for_run(args)
-    run = run_message_passing(instance.cover, quads, instance.observations, dtree)
+    digests = {}
+    run = run_message_passing(
+        instance.cover, quads, instance.observations, dtree,
+        on_message=lambda edge, msg: digests.__setitem__(edge, message_digest(msg)),
+    )
     value, yhat, kernel = local_solve(run)
     central_value, _, _ = centralized_solve(instance.cover, quads, instance.observations)
     rel = abs(value - central_value) / max(1.0, abs(central_value))
@@ -189,10 +193,7 @@ def _cmd_run_exact(args) -> int:
         "minimizer": minimizer,
         "kernel_dim": kdim,
         "surviving_foreign_vars": [int(v) for v in run.surviving_foreign_vars],
-        "edge_digests": [
-            [int(i), int(j), message_digest(run.messages[i])]
-            for (i, j) in sorted(run.edge_records)
-        ],
+        "edge_digests": [[int(i), int(j), d] for (i, j), d in sorted(digests.items())],
     }
     if args.out:
         write_json(args.out, payload)

@@ -19,13 +19,21 @@ those positions, in the order and with the arithmetic of `fix_vars`,
 `quad_sum` and `partial_minimize`, so its messages equal theirs bit for
 bit; `back_substitute` replays the argmin maps by node index into one
 vector.
+
+A message is consumed once, by the sum of the node it is sent to, so the
+numeric pass keeps only the live frontier, as a multifrontal solver frees
+each update matrix once its parent has assembled it (Liu 1986): a message
+lives from its elimination until its parent's sum has added it.  The
+finished run keeps the argmin maps, the variables each message was over
+and the aggregated message.  A caller that wants the coefficients passes
+`on_message`, which sees every message as it is made.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,15 +150,25 @@ def _plan(cover: SubgraphCover, quads: Sequence[QuadFunc], dtree: DirectedTree) 
     return _Plan(tuple(steps), dims, entries, cost)
 
 
+class MessageShape(NamedTuple):
+    """What a finished run keeps of a message: the variables it was over."""
+
+    vars: tuple
+
+
 @dataclass(frozen=True)
 class MessagePassingRun:
-    """Immutable record of one complete run: one message per tree edge,
-    keyed by its tail; the root's sum is `aggregated`."""
+    """Immutable record of one complete run.
+
+    The run keeps no message coefficients.  Per tree edge it keeps the
+    argmin map in `edge_records` and, keyed by the edge's tail, the
+    variables of the message in `messages`; the root's sum is
+    `aggregated`."""
 
     cover: SubgraphCover
     dtree: DirectedTree
     observations: dict
-    messages: dict  # tail -> QuadFunc
+    messages: dict  # tail -> MessageShape
     edge_records: dict  # (tail, head) -> EdgeRecord
     aggregated: QuadFunc
     surviving_foreign_vars: tuple  # aggregated vars outside the root's subgraph
@@ -185,32 +203,44 @@ def run_message_passing(
     quads: Sequence[QuadFunc],
     observations: Mapping,
     dtree: DirectedTree,
+    *,
+    on_message: Callable[[tuple, QuadFunc], object] | None = None,
 ) -> MessagePassingRun:
+    """Pass the messages up `dtree` and sum them at its root.
+
+    `on_message(edge, msg)`, when given, is called with each message as it
+    is made, in post-order; `edge` is (tail, head).  The run drops each
+    message once its parent's sum has added it.
+    """
     _check_inputs(cover, quads, observations)
     plan = _plan(cover, quads, dtree)
-    messages: dict[int, QuadFunc] = {}
+    frontier: dict[int, QuadFunc] = {}  # made, not yet added by the parent
+    shapes: dict[int, MessageShape] = {}
     records: dict[tuple[int, int], EdgeRecord] = {}
     for step in plan.steps:
         own = quads[step.node]
         if step.fixed_vars:
             f = np.array([float(observations[v]) for v in step.fixed_vars])
             own = own._fix_at(step.own_vars, step.own_keep, step.own_fixed, f)
-        terms = [own] + [messages[c] for c in dtree.children[step.node]]
-        h = _assemble(step.held, zip(step.placed, terms))
+        children = [frontier.pop(c) for c in dtree.children[step.node]]
+        h = _assemble(step.held, zip(step.placed, [own, *children]))
+        del children  # the messages are freed before the elimination's temporaries
         if step.edge is None:
             break  # the root, last in post-order
         try:
-            msg, amap = h._minimize_at(step.keep, step.elim, step.x_at, step.y_at)
+            frontier[step.node], amap = h._minimize_at(step.keep, step.elim, step.x_at, step.y_at)
         except NumericalFailure as exc:
             raise exc.at("message along edge ({} -> {})".format(*step.edge), step.edge) from exc
-        messages[step.node] = msg
+        if on_message is not None:
+            on_message(step.edge, frontier[step.node])
+        shapes[step.node] = MessageShape(step.keep)
         records[step.edge] = EdgeRecord(argmin=amap)
     assert len(records) == len(dtree.edges), "one message must cross each tree edge"
     return MessagePassingRun(
         cover=cover,
         dtree=dtree,
         observations=dict(observations),
-        messages=messages,
+        messages=shapes,
         edge_records=records,
         aggregated=h,
         surviving_foreign_vars=tuple(

@@ -50,6 +50,17 @@ def random_instance(t, seed, rank_deficient=False, **cover_kw):
     return cover, quads, obs
 
 
+def collecting():
+    """A dict of the messages a run makes, keyed by tail, and the
+    `on_message` callback that fills it."""
+    sent = {}
+
+    def on_message(edge, msg):
+        sent[edge[0]] = msg
+
+    return sent, on_message
+
+
 class TestRunMessagePassing:
     def test_triangle_both_trees_agree_with_direct_minimum(self):
         """The aggregated minimum equals the direct minimum of the summed
@@ -66,12 +77,13 @@ class TestRunMessagePassing:
         # star tree: two concurrent leaf messages summed at the root; each
         # leaf retains its shared nodes with the root AND with the
         # complement-edge neighbor
-        run = run_message_passing(cover, quads, obs, direct_tree(star, 0))
-        assert run.messages[1].vars == (6, 8)
-        assert run.messages[2].vars == (7, 8)
+        sent, on_message = collecting()
+        run = run_message_passing(cover, quads, obs, direct_tree(star, 0), on_message=on_message)
+        assert sent[1].vars == (6, 8)
+        assert sent[2].vars == (7, 8)
         assert run.aggregated.vars == (1, 6, 7, 8)  # root private + all shared
         own = quads[0].fix_vars({v: obs[v] for v in cover.observables[0]})
-        manual = own + run.messages[1] + run.messages[2]
+        manual = own + sent[1] + sent[2]
         direct, _, _ = manual.global_minimize()
         agg, _, _ = run.aggregated.global_minimize()
         assert abs(direct - agg) < 1e-12
@@ -111,9 +123,10 @@ class TestRunMessagePassing:
         quads = regularize(quads, 1e-3, 0)
         stree = spanning_tree(build_nerve(cover), "bfs", cover)
         dt = direct_tree(stree, 0)
-        run = run_message_passing(cover, quads, obs, dt)
+        sent, on_message = collecting()
+        run = run_message_passing(cover, quads, obs, dt, on_message=on_message)
         assert len(run.edge_records) == len(dt.edges)
-        for i, msg in run.messages.items():
+        for i, msg in sent.items():
             if len(msg.vars):
                 assert np.linalg.eigvalsh(msg.A)[0] >= -1e-9 * (
                     1 + np.abs(np.linalg.eigvalsh(msg.A)).max()
@@ -369,6 +382,29 @@ class TestRegularize:
             regularize(fixture_triangle().quads, 0.0, 0)
 
 
+def _reachable_quads(obj) -> list:
+    """Every QuadFunc reachable from `obj` through attributes, slots, dicts
+    and containers."""
+    found, seen, stack = [], {}, [obj]
+    while stack:
+        o = stack.pop()
+        if o is None or isinstance(o, (str, int, float, np.ndarray, np.generic)) or id(o) in seen:
+            continue
+        seen[id(o)] = o  # held, so that no id is reused
+        if isinstance(o, QuadFunc):
+            found.append(o)
+        elif isinstance(o, dict):
+            stack.extend(o.keys())
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack.extend(o)
+        else:
+            stack.extend(vars(o).values() if hasattr(o, "__dict__") else ())
+            for cls in type(o).__mro__:
+                stack.extend(getattr(o, name, None) for name in getattr(cls, "__slots__", ()))
+    return found
+
+
 class TestRunReport:
     def test_surviving_foreign_variable_is_flagged(self):
         cover = fixture_triangle().cover
@@ -378,16 +414,32 @@ class TestRunReport:
         # node 8 is shared by the two leaf clusters only; it survives at the root
         assert 8 in run.surviving_foreign_vars
 
+    def test_finished_run_keeps_no_message_coefficients(self):
+        """The pass drops each message once its parent has added it: the
+        run reaches no quadratic but `aggregated`, and what it keeps of a
+        message is its variables, the inputs of its edge's argmin map."""
+        cover, quads, obs = random_instance(12, 5)
+        dt = direct_tree(spanning_tree(build_nerve(cover), "random", cover, seed=5), 3)
+        run = run_message_passing(cover, quads, obs, dt)
+        found = _reachable_quads(run)
+        assert len(found) == 1 and found[0] is run.aggregated
+        assert run.messages.keys() == {i for i, _ in run.edge_records}
+        for i, shape in run.messages.items():
+            assert shape.vars == run.edge_records[(i, dt.parent[i])].argmin.inputs
+
     def test_message_digest_is_stable(self):
         inst = fixture_triangle()
         dt = direct_tree(
             spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0
         )
-        run1 = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
-        run2 = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
-        assert set(run1.messages) == {i for i, _ in run1.edge_records}
-        for i in run1.messages:
-            assert message_digest(run1.messages[i]) == message_digest(run2.messages[i])
+        sent1, on_message1 = collecting()
+        sent2, on_message2 = collecting()
+        run1 = run_message_passing(inst.cover, inst.quads, inst.observations, dt,
+                                   on_message=on_message1)
+        run_message_passing(inst.cover, inst.quads, inst.observations, dt, on_message=on_message2)
+        assert set(sent1) == {i for i, _ in run1.edge_records}
+        for i in sent1:
+            assert message_digest(sent1[i]) == message_digest(sent2[i])
 
 
 FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv",
@@ -484,7 +536,8 @@ def _scrambled(quads, seed):
 @given(t=st.integers(min_value=2, max_value=30), seed=st.integers(min_value=0, max_value=10_000),
        root_pick=st.integers(min_value=0, max_value=10_000), scramble=st.booleans())
 def test_plan_driven_run_equals_the_set_based_traversal(t, seed, root_pick, scramble):
-    """For every tree strategy and a random root, every message, argmin map
+    """For every tree strategy and a random root, `on_message` sees each
+    tree edge's message once, in post-order, and every message, argmin map
     and the aggregated message of run_message_passing equal, bit for bit,
     those of the set-based reference traversal, back-substitution equals
     the reference replay, and the plan's predicted message sizes and
@@ -495,11 +548,15 @@ def test_plan_driven_run_equals_the_set_based_traversal(t, seed, root_pick, scra
     nerve = build_nerve(cover)
     for strategy in ("bfs", "random", "max_overlap"):
         dtree = direct_tree(spanning_tree(nerve, strategy, cover, seed=seed), root_pick % t)
-        run = run_message_passing(cover, quads, obs, dtree)
+        digests = []  # (edge, digest), in the order on_message sees them
+        run = run_message_passing(cover, quads, obs, dtree, on_message=lambda edge, msg:
+                                  digests.append((edge, message_digest(msg))))
         messages, maps, aggregated = _reference_run(cover, quads, obs, dtree)
+        postorder_edges = [(i, dtree.parent[i]) for i in dtree.postorder()[:-1]]
+        assert [edge for edge, _ in digests] == postorder_edges
         assert run.messages.keys() == messages.keys()
-        for i, msg in messages.items():
-            assert message_digest(run.messages[i]) == message_digest(msg)
+        for (i, _), digest in digests:
+            assert digest == message_digest(messages[i])
         assert run.edge_records.keys() == maps.keys()
         for edge, want in maps.items():
             got = run.edge_records[edge].argmin
