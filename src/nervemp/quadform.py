@@ -16,10 +16,12 @@ RANK_RCOND * sigma_max of zero treated as zero.
 Two routines carry the algebra of the whole package.  `quad_sum` assembles
 a sum of quadratics by one scatter-add (`embed` and `add` are its one- and
 two-term cases).  `_eliminate`, behind `partial_minimize` and
-`global_minimize`, does one `eigh` of the eliminated block for its
-pseudoinverse, smallest eigenvalue, singular flag and kernel, and for the
-unboundedness test.  It owns the elimination tolerances RANK_RCOND and
-UNBOUNDED_TOL.
+`global_minimize`, applies the eliminated block's pseudoinverse to a stacked
+right-hand side.  The block's eigenvalues alone give its smallest eigenvalue
+and singular flag; a nonsingular block is then solved by one LU
+factorization, and only a singular one is diagonalized, for its
+pseudoinverse, its kernel and the unboundedness test.  It owns the
+elimination tolerances RANK_RCOND and UNBOUNDED_TOL.
 
 `quad_sum`, `fix_vars` and `partial_minimize` work out from variable names
 which positions to add, fix or eliminate, then call `_assemble`, `_fix_at`
@@ -168,7 +170,7 @@ class QuadFunc:
             raise DimensionMismatch(
                 f"batch has shape {X.shape}, expected (*, {len(self.vars)})"
             )
-        return np.einsum("bi,ij,bj->b", X, self.A, X) + X @ self.b + self.c
+        return ((X @ self.A) * X).sum(axis=1) + X @ self.b + self.c
 
     def embed(self, superset: Iterable) -> "QuadFunc":
         return quad_sum([self], superset)
@@ -222,14 +224,14 @@ class QuadFunc:
         A_xy = rows.take(yi, 1)
         del rows  # n_x by n: freed before the elimination's larger temporaries
         A_yy = self.A.take(yi, 0).take(yi, 1)
-        b_x = self.b[xi]
         b_y = self.b[yi]
-        P, _, min_eig, singular = _eliminate(A_yy, b_y, np.linalg.norm(self.b))
-        A_new = _sym(A_xx - A_xy @ P @ A_xy.T)
-        b_new = b_x - A_xy @ (P @ b_y)
-        c_new = float(self.c - 0.25 * b_y @ P @ b_y)
-        M = -P @ A_xy.T
-        m = -0.5 * P @ b_y
+        # One solve against the stacked [-A_yx | -b_y / 2] gives M and m.
+        rhs = -np.column_stack((A_xy.T, 0.5 * b_y))
+        Z, _, min_eig, singular = _eliminate(A_yy, rhs, b_y, np.linalg.norm(self.b))
+        M, m = Z[:, :-1], Z[:, -1]
+        A_new = _sym(A_xx + A_xy @ M)
+        b_new = self.b[xi] + 2.0 * (A_xy @ m)
+        c_new = float(self.c + 0.5 * (b_y @ m))
         amap = ArgminMap(ys, keep, M, m, min_eig, singular)
         return QuadFunc._trusted(keep, A_new, b_new, c_new), amap
 
@@ -242,26 +244,31 @@ class QuadFunc:
         n = len(self.vars)
         if n == 0:
             return self.c, np.zeros(0), np.zeros((0, 0))
-        P, kernel, _, _ = _eliminate(self.A, self.b, np.linalg.norm(self.b))
-        minimizer = -0.5 * P @ self.b
-        value = float(self.c - 0.25 * self.b @ P @ self.b)
-        return value, minimizer, kernel
+        x, kernel, _, _ = _eliminate(self.A, -0.5 * self.b, self.b, np.linalg.norm(self.b))
+        return float(self.c + 0.5 * (self.b @ x)), x, kernel
 
 
-def _eliminate(A_yy: np.ndarray, b_y: np.ndarray, b_norm: float):
-    """The elimination kernel: one eigendecomposition of the block A_yy.
+def _eliminate(A_yy: np.ndarray, rhs: np.ndarray, b_y: np.ndarray, b_norm: float):
+    """The elimination kernel: Z = A_yy+ rhs for the PSD block A_yy.
 
-    Returns (P, kernel, min_eig, singular).  Eigenvalues within
-    RANK_RCOND * sigma_max of zero span the kernel and are dropped from the
-    pseudoinverse P.  Raises UnboundedBelow, carrying the block's size and
-    smallest eigenvalue, when the block is indefinite
-    (its smallest eigenvalue lies below -PSD_TOL * (1 + sigma_max)) or when
-    b_y has a kernel component larger than UNBOUNDED_TOL * (1 + b_norm),
-    b_norm being the norm of the whole linear term.
+    Returns (Z, kernel, min_eig, singular).  The block is singular when its
+    smallest eigenvalue lies within RANK_RCOND * sigma_max of zero.  A
+    nonsingular block has an empty kernel and Z comes from one LU solve.  A
+    singular block is diagonalized: eigenvalues within the cutoff span the
+    kernel and are dropped from the pseudoinverse.  Raises UnboundedBelow,
+    carrying the block's size and smallest eigenvalue, when the block is
+    indefinite (its smallest eigenvalue lies below
+    -PSD_TOL * (1 + sigma_max)) or when b_y has a kernel component larger
+    than UNBOUNDED_TOL * (1 + b_norm), b_norm being the norm of the whole
+    linear term.
     """
-    w, V = np.linalg.eigh(A_yy)
+    w = np.linalg.eigvalsh(A_yy)
     if _indefinite(w):
         raise _unbounded("the eliminated block is indefinite", w)
+    if w[0] > RANK_RCOND * max(abs(w[0]), abs(w[-1])):
+        return np.linalg.solve(A_yy, rhs), np.zeros((len(w), 0)), float(w[0]), False
+    # Singular: the eigenvectors give the kernel and the pseudoinverse.
+    w, V = np.linalg.eigh(A_yy)
     cutoff = RANK_RCOND * max(abs(w[0]), abs(w[-1]))
     live = np.abs(w) > cutoff
     kernel = V[:, ~live]
@@ -271,7 +278,7 @@ def _eliminate(A_yy: np.ndarray, b_y: np.ndarray, b_norm: float):
         )
     # Scaling V in one temporary keeps the peak at three blocks: V, V / w, P.
     P = (V * np.divide(1.0, w, out=np.zeros_like(w), where=live)) @ V.T
-    return P, kernel, float(w[0]), bool(w[0] <= cutoff)
+    return P @ rhs, kernel, float(w[0]), bool(w[0] <= cutoff)
 
 
 def _unbounded(reason: str, w: np.ndarray) -> UnboundedBelow:

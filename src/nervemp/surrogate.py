@@ -474,7 +474,7 @@ def _minimize_over(objective: _NodeObjective, free_idx, fixed_batch, bounds, res
     if not objective.mlps:
         # Pure quadratic: the exact minimizer is available; use it.  The
         # message is evaluated on the gathered copy base[:, keep], whose
-        # layout fixes the einsum summation order.
+        # layout fixes the matmul summation order.
         msg, _ = objective.quad.partial_minimize(objective.variables[k] for k in free_idx)
         return msg.evaluate_batch(base[:, keep]), None
     if n_free == 0:

@@ -446,26 +446,49 @@ FACTORIZATIONS = ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv",
                   "lstsq", "pinv", "qr", "solve", "svd")
 
 
-def test_exact_pipeline_factors_each_block_once(monkeypatch):
-    """Messages are not re-validated: run_message_passing, local_solve and
-    back_substitute make no eigvalsh call and one eigh per tree edge plus
-    one for the root, and no other factorization."""
-    cover = gen_random_cover(50, 1, extra_edge_prob=2 / 50)
-    quads = regularize(gen_random_quads(cover, 2), 1e-3, 3)
-    obs = gen_random_observations(cover, 4)
-    dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
+def _count_factorizations(monkeypatch) -> Counter:
     calls = Counter()
     for name in FACTORIZATIONS:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_exact_pipeline_factors_each_block_once(monkeypatch):
+    """Messages are not re-validated, and a nonsingular block is never
+    diagonalized: run_message_passing, local_solve and back_substitute make
+    one eigvalsh and one solve per elimination block and at the root, and no
+    other factorization."""
+    cover = gen_random_cover(50, 1, extra_edge_prob=2 / 50)
+    quads = regularize(gen_random_quads(cover, 2), 1e-3, 3)
+    obs = gen_random_observations(cover, 4)
+    dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
+    calls = _count_factorizations(monkeypatch)
     run = run_message_passing(cover, quads, obs, dt)
     _, yhat, _ = local_solve(run)
     back_substitute(run, yhat)
-    assert calls["eigvalsh"] == 0
-    assert calls["eigh"] <= len(dt.edges) + 1
-    assert set(calls) <= {"eigh"}
+    blocks = len(dt.edges) + 1
+    assert calls == Counter(eigvalsh=blocks, solve=blocks)
+
+
+def test_only_singular_blocks_are_diagonalized(monkeypatch):
+    """Unregularized rank-deficient quadratics with no linear term: every
+    block has its eigenvalues taken once, and eigh runs exactly on the blocks
+    whose smallest eigenvalue is at or below the singular cutoff."""
+    cover = gen_random_cover(12, 0, extra_edge_prob=2 / 12)
+    quads = tuple(QuadFunc(q.vars, q.A, np.zeros(len(q.vars)), q.c)
+                  for q in gen_random_quads(cover, 1, rank_deficient=True))
+    obs = gen_random_observations(cover, 2)
+    dt = direct_tree(spanning_tree(build_nerve(cover), "bfs", cover), 0)
+    calls = _count_factorizations(monkeypatch)
+    run = run_message_passing(cover, quads, obs, dt)
+    _, _, kernel = local_solve(run)
+    singular = sum(rec.singular for rec in run.edge_records.values()) + (kernel.shape[1] > 0)
+    blocks = len(dt.edges) + 1
+    assert 0 < singular < blocks
+    assert calls == Counter(eigvalsh=blocks, eigh=singular, solve=blocks - singular)
 
 
 def test_exact_pipeline_builds_the_partitions_once(monkeypatch):

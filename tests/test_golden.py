@@ -15,7 +15,8 @@ alters an output by design regenerates the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists every changed entry with its reason in CHANGES.md.
+which prints every command whose entry differs from the manifest it
+replaces; CHANGES.md lists each of them with its reason.
 """
 
 import contextlib
@@ -132,8 +133,12 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--run-in"]:
         print(json.dumps(_run_in_process(Path(sys.argv[2]))))
     else:
+        old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {"commands": {}}
         with tempfile.TemporaryDirectory() as scratch:
             manifest = run_commands(Path(scratch))
         MANIFEST.parent.mkdir(exist_ok=True)
         MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
         print(f"wrote {len(COMMANDS)} entries to {MANIFEST}")
+        for command in COMMANDS:
+            if old["commands"].get(command) != manifest["commands"][command]:
+                print(f"changed: {command}")

@@ -16,7 +16,14 @@ from nervemp.errors import (
     UnboundedBelow,
     UnknownVariable,
 )
-from nervemp.quadform import PSD_TOL, QuadFunc, quad_sum, subspace_distance_quad
+from nervemp.quadform import (
+    PSD_TOL,
+    RANK_RCOND,
+    UNBOUNDED_TOL,
+    QuadFunc,
+    quad_sum,
+    subspace_distance_quad,
+)
 
 
 def random_psd(n, rng, ridge=0.1):
@@ -431,6 +438,109 @@ def test_diagonal_shift_prevents_unbounded(seed):
         msg, _ = shifted.partial_minimize(elim)
         if len(msg.vars):
             assert np.linalg.eigvalsh(msg.A)[0] > -1e-12
+
+
+def _pinv_reference(A_yy, b_y, b_norm):
+    """The eigh / explicit pseudoinverse elimination the solve path replaced:
+    (P, kernel, min_eig, singular), or the UnboundedBelow reason."""
+    w, V = np.linalg.eigh(A_yy)
+    sigma = max(abs(w[0]), abs(w[-1]))
+    if w[0] < -PSD_TOL * (1.0 + sigma):
+        return "indefinite"
+    cutoff = RANK_RCOND * sigma
+    live = np.abs(w) > cutoff
+    kernel = V[:, ~live]
+    if np.linalg.norm(kernel.T @ b_y) > UNBOUNDED_TOL * (1.0 + b_norm):
+        return "kernel"
+    P = (V * np.divide(1.0, w, out=np.zeros_like(w), where=live)) @ V.T
+    return P, kernel, float(w[0]), bool(w[0] <= cutoff)
+
+
+ELIMINATION_KINDS = ("full_rank", "rank_deficient", "above_cutoff", "below_cutoff", "indefinite")
+
+
+def _block_of_kind(kind, n, sigma, rng):
+    """An n x n symmetric block with largest eigenvalue sigma whose smallest
+    eigenvalues are set by `kind` relative to the singular cutoff."""
+    w = sigma * rng.uniform(0.1, 1.0, n)
+    w[-1] = sigma
+    if kind == "rank_deficient":
+        w[:int(rng.integers(1, n))] = 0.0
+    elif kind == "above_cutoff":
+        w[0] = 10.0 * RANK_RCOND * sigma
+    elif kind == "below_cutoff":
+        w[0] = 0.1 * RANK_RCOND * sigma
+    elif kind == "indefinite":
+        w[0] = -100.0 * PSD_TOL * (1.0 + sigma)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (V * w) @ V.T
+    return (A + A.T) / 2.0
+
+
+def _near(got, want, rtol, *terms):
+    """got equals want within rtol of the magnitudes that sum to want."""
+    scale = np.linalg.norm(want) + sum(np.linalg.norm(t) for t in terms)
+    return np.linalg.norm(np.asarray(got) - want) <= rtol * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ELIMINATION_KINDS), st.integers(min_value=0, max_value=10_000))
+def test_elimination_matches_the_pseudoinverse_formulas(kind, seed):
+    """partial_minimize and global_minimize agree with the eigh / explicit
+    pseudoinverse formulas on blocks that are well conditioned, rank
+    deficient, just above or just below the singular cutoff, or indefinite:
+    the same singular flag and UnboundedBelow decision, min_eig within
+    1e-12 sigma_max, and M, m, the message and the minimizer within 1e-9
+    relative.  Just above the cutoff the block's condition number kappa is
+    1e9, and 1e-9 is out of reach: a backward-stable solve (LU with a
+    backward error of gamma_3n, Higham 2002, Thm 9.4) or eigh is accurate
+    only to about n kappa eps, so 10 n kappa eps is added to the 1e-9."""
+    rng = np.random.default_rng(seed)
+    ny, nx = int(rng.integers(2, 7)), int(rng.integers(0, 4))
+    sigma = float(10.0 ** rng.integers(-3, 4))
+    A_yy = _block_of_kind(kind, ny, sigma, rng)
+    A_xx = random_psd(nx, rng) if nx else np.zeros((0, 0))
+    A_xy = rng.standard_normal((nx, ny))
+    b_y = A_yy @ rng.standard_normal(ny) if rng.integers(2) else rng.standard_normal(ny)
+    b = np.concatenate([rng.standard_normal(nx), b_y])
+    c = float(rng.standard_normal())
+    H = np.block([[A_xx, A_xy], [A_xy.T, A_yy]])
+    q = QuadFunc._trusted(tuple(range(nx + ny)), H, b, c)
+    ys = tuple(range(nx, nx + ny))
+    block = QuadFunc._trusted(ys, A_yy, b_y, c)
+    ref = _pinv_reference(A_yy, b_y, np.linalg.norm(b))
+    block_ref = _pinv_reference(A_yy, b_y, np.linalg.norm(b_y))
+    if isinstance(block_ref, str):
+        with pytest.raises(UnboundedBelow, match=block_ref):
+            block.global_minimize()
+    if isinstance(ref, str):
+        assert kind in ("rank_deficient", "below_cutoff", "indefinite")
+        with pytest.raises(UnboundedBelow, match=ref):
+            q.partial_minimize(ys)
+        return
+    P, kernel, min_eig, singular = ref
+    assert kind != "indefinite"
+    assert singular == (kind in ("rank_deficient", "below_cutoff"))
+    w = np.linalg.eigvalsh(A_yy)
+    live = np.abs(w) > RANK_RCOND * sigma
+    rtol = 1e-9 + 10 * ny * np.finfo(float).eps * sigma / np.min(np.abs(w[live]))
+
+    msg, amap = q.partial_minimize(ys)
+    assert (amap.singular, msg.vars) == (singular, tuple(range(nx)))
+    assert abs(amap.min_eig - min_eig) <= 1e-12 * sigma
+    m = -0.5 * P @ b_y
+    assert _near(amap.M, -P @ A_xy.T, rtol) and _near(amap.m, m, rtol)
+    S = A_xy @ P @ A_xy.T
+    assert _near(msg.A, A_xx - S, rtol, A_xx, S)
+    assert _near(msg.b, b[:nx] - A_xy @ (P @ b_y), rtol, b[:nx], A_xy @ (P @ b_y))
+    quarter = 0.25 * b_y @ P @ b_y
+    assert _near(msg.c, c - quarter, rtol, c, quarter)
+
+    if not isinstance(block_ref, str):
+        value, x, got_kernel = block.global_minimize()
+        assert got_kernel.shape == kernel.shape
+        assert _near(x, m, rtol)
+        assert _near(value, c - quarter, rtol, c, quarter)
 
 
 class TestConstructionInvariants:

@@ -399,8 +399,10 @@ class TestApproxMessagePassing:
     def test_root_factors_its_block_once(self, monkeypatch):
         """Under quadratic least squares each node factors its quadratic part
         once for the sampling center, and the root reads its answer off that
-        factorization: one global_minimize per node, one eigh per node and
-        one per edge message."""
+        factorization: one global_minimize per node, and one eigvalsh and
+        one solve per node and per edge message, with no eigh.  The only
+        other eigvalsh is the constructor's PSD check of each fitted
+        message."""
         inst = fixture_triangle()
         dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
         cfg = ApproxConfig(m=identifiability_threshold(inst.cover, dt), kind="quadratic_ls",
@@ -416,10 +418,15 @@ class TestApproxMessagePassing:
             monkeypatch.setattr(owner, name, counted)
 
         counting(QuadFunc, "global_minimize")
-        counting(np.linalg, "eigh")
+        counting(QuadFunc, "__init__")
+        for name in ("eigh", "eigvalsh", "solve"):
+            counting(np.linalg, name)
         approx_message_passing(inst.cover, inst.quads, inst.observations, dt, cfg)
         assert calls["global_minimize"] == inst.cover.t == 3
-        assert calls["eigh"] == inst.cover.t + len(dt.edges) == 5
+        assert calls["__init__"] == len(dt.edges) == 2
+        assert calls["solve"] == inst.cover.t + len(dt.edges) == 5
+        assert calls["eigvalsh"] == calls["solve"] + calls["__init__"]
+        assert calls["eigh"] == 0
 
     def test_single_exchange_per_edge(self):
         cover = gen_random_cover(5, seed=50)
