@@ -47,6 +47,8 @@ COMMANDS = [
     "run-approx rq.json --m 60 --seed 3 --out ap-rq-ls.json",
     "run-approx eg32.json --root 1 --m 40 --surrogate mlp --regularize 1e-2 --seed 9"
     " --out ap-eg32-mlp.json",
+    "run-approx rq.json --root 2 --tree max-overlap --m 40 --surrogate mlp --seed 5"
+    " --out ap-rq-mo-mlp.json",
     "analyze eg32.json --leaf 0 --seed 2 --out an-eg32-linear.json",
     "analyze eg32.json --leaf 0 --task objective --seed 2 --out an-eg32-objective.json",
     "sweep --m-list 20,40 --k 3 --surrogate quadratic-ls --repeats 2 --seed 4"
