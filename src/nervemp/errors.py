@@ -77,4 +77,5 @@ class InnerOptimizationFailed(NumericalFailure):
 
 
 class SingularFit(NumericalFailure):
-    """A surrogate fit was rank-deficient beyond ridge rescue."""
+    """A surrogate fit failed: rank-deficient beyond ridge rescue, diverged
+    in training, or fitted a quadratic that is not convex."""

@@ -251,7 +251,10 @@ def run_message_passing(
 
 def local_solve(run: MessagePassingRun) -> tuple[float, np.ndarray, np.ndarray]:
     """Minimize the aggregated message; minimizer is aligned with its vars."""
-    return run.aggregated.global_minimize()
+    try:
+        return run.aggregated.global_minimize()
+    except NumericalFailure as exc:
+        raise exc.at(f"minimization at root {run.dtree.root}") from exc
 
 
 def back_substitute(run: MessagePassingRun, yhat_root: np.ndarray) -> np.ndarray:

@@ -205,7 +205,10 @@ def _fit_quadratic_ls(samples: SampleSet) -> QuadSurrogate:
     A = np.zeros((d, d))
     A[np.triu_indices(d)] = theta[1 + d :]
     resid = float(np.sqrt(np.mean((F @ theta - samples.outputs) ** 2)))
-    quad = QuadFunc(samples.variables, (A + A.T) / 2.0, b, c)
+    try:
+        quad = QuadFunc(samples.variables, (A + A.T) / 2.0, b, c)
+    except ValueError as exc:  # samples of a nonconvex message fit an indefinite A
+        raise SingularFit(f"the fitted quadratic is not convex: {exc}") from exc
     return QuadSurrogate(quad=quad, fit_residual=resid)
 
 
@@ -550,9 +553,9 @@ def approx_message_passing(
         # the answer, so there unboundedness is the result.
         try:
             value, center, _ = objective.quad.global_minimize()
-        except UnboundedBelow:
+        except UnboundedBelow as exc:
             if i == dtree.root and not mlp_terms:
-                raise
+                raise exc.at(f"minimization at root {i}") from exc
             center = np.zeros(len(variables))
         if i == dtree.root:
             yhat = center

@@ -275,16 +275,34 @@ class TestRunApprox:
         got = json.loads(approx.read_text())["value"]
         assert abs(got - want) <= 1e-6 * abs(want)
 
-    @pytest.mark.parametrize("surrogate", ["quadratic-ls", "mlp"])
-    def test_unbounded_root_exits_three(self, tmp_path, capsys, surrogate):
+    @pytest.mark.parametrize("command", [
+        ("run-exact",),
+        ("run-approx", "--surrogate", "quadratic-ls", "--seed", "1"),
+        ("run-approx", "--surrogate", "mlp", "--seed", "1"),
+    ], ids=["run-exact", "quadratic-ls", "mlp"])
+    def test_unbounded_root_exits_three(self, tmp_path, capsys, command):
         inst_path = tmp_path / "ub.json"
         inst_path.write_text(json.dumps(UNBOUNDED))
         out = tmp_path / "res.json"
-        code = run_cli("run-approx", inst_path, "--surrogate", surrogate, "--seed", "1",
-                       "--out", out)
+        code = run_cli(command[0], inst_path, *command[1:], "--out", out)
         assert code == 3
-        assert "minimum is -inf" in capsys.readouterr().err
+        assert "minimization at root 0: minimum is -inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_indefinite_fit_names_the_edge(self, tmp_path, capsys):
+        """A regularizer of 1e-10 leaves a message whose sampled fit is
+        indefinite at rounding level: a failed fit at an edge (exit 3), not
+        invalid input; the exact engine fails at the root's minimization."""
+        inst_path = tmp_path / "ds.json"
+        assert run_cli("gen", "--kind", "distributed-sampling", "--k", "25", "--seed", "7",
+                       "--out", inst_path) == 0
+        common = (inst_path, "--root", "0", "--regularize", "1e-10", "--seed", "1")
+        assert run_cli("run-approx", *common, "--m", "400") == 3
+        err = capsys.readouterr().err
+        assert re.search(r"message along edge \(\d+ -> 0\): the fitted quadratic is not "
+                         r"convex: A is not positive semidefinite", err), err
+        assert run_cli("run-exact", *common) == 3
+        assert "minimization at root 0: minimum is -inf" in capsys.readouterr().err
 
     def test_failed_fit_names_the_edge(self, tmp_path, capsys):
         inst_path = tmp_path / "rq.json"

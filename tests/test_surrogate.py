@@ -103,6 +103,13 @@ class TestFitQuadraticLS:
         with pytest.raises(SingularFit):
             fit_surrogate(ss, ApproxConfig(kind="quadratic_ls"), 0)
 
+    def test_indefinite_fit_raises(self):
+        """Samples of x0 x1 fit A = [[0, 1/2], [1/2, 0]] exactly: a failed
+        fit, not an invalid quadratic."""
+        ss = sample_message(lambda X: X[:, 0] * X[:, 1], [(-1, 1)] * 2, 20, 0, variables=(0, 1))
+        with pytest.raises(SingularFit, match=r"not convex: A is not positive semidefinite"):
+            fit_surrogate(ss, ApproxConfig(kind="quadratic_ls"), 0)
+
     def test_degenerate_design_raises(self):
         inputs = np.zeros((20, 2))  # all samples identical
         ss = SampleSet(variables=(0, 1), box=((-1, 1), (-1, 1)),
