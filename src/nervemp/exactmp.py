@@ -193,9 +193,26 @@ def _check_inputs(
             raise MissingVariable(f"observation missing for node {v}")
 
 
-def _fix_observations(q: QuadFunc, obs: Mapping, nodes) -> QuadFunc:
-    fixed = {v: obs[v] for v in nodes if v in q.vars}
-    return q.fix_vars(fixed) if fixed else q
+def _walk(cover: SubgraphCover, quads: Sequence[QuadFunc], observations: Mapping,
+          dtree: DirectedTree, send: Callable) -> tuple:
+    """The upward pass of both engines: `send(step, own, children)` makes each
+    non-root node's message from its step, its observation-fixed quadratic
+    and its children's messages in child-index order, and a failure there
+    names the edge.  Returns the root's (step, own, children)."""
+    _check_inputs(cover, quads, observations)
+    frontier: dict = {}  # sent, not yet taken by the parent
+    for step in _plan(cover, quads, dtree).steps:
+        own = quads[step.node]
+        if step.fixed_vars:
+            f = np.array([float(observations[v]) for v in step.fixed_vars])
+            own = own._fix_at(step.own_vars, step.own_keep, step.own_fixed, f)
+        children = [frontier.pop(c) for c in dtree.children[step.node]]
+        if step.edge is None:
+            return step, own, children  # the root, last in post-order
+        try:
+            frontier[step.node] = send(step, own, children)
+        except NumericalFailure as exc:
+            raise exc.at("message along edge ({} -> {})".format(*step.edge), step.edge) from exc
 
 
 def run_message_passing(
@@ -212,30 +229,21 @@ def run_message_passing(
     is made, in post-order; `edge` is (tail, head).  The run drops each
     message once its parent's sum has added it.
     """
-    _check_inputs(cover, quads, observations)
-    plan = _plan(cover, quads, dtree)
-    frontier: dict[int, QuadFunc] = {}  # made, not yet added by the parent
     shapes: dict[int, MessageShape] = {}
     records: dict[tuple[int, int], EdgeRecord] = {}
-    for step in plan.steps:
-        own = quads[step.node]
-        if step.fixed_vars:
-            f = np.array([float(observations[v]) for v in step.fixed_vars])
-            own = own._fix_at(step.own_vars, step.own_keep, step.own_fixed, f)
-        children = [frontier.pop(c) for c in dtree.children[step.node]]
+
+    def send(step, own, children):
         h = _assemble(step.held, zip(step.placed, [own, *children]))
-        del children  # the messages are freed before the elimination's temporaries
-        if step.edge is None:
-            break  # the root, last in post-order
-        try:
-            frontier[step.node], amap = h._minimize_at(step.keep, step.elim, step.x_at, step.y_at)
-        except NumericalFailure as exc:
-            raise exc.at("message along edge ({} -> {})".format(*step.edge), step.edge) from exc
+        children.clear()  # the messages are freed before the elimination's temporaries
+        msg, amap = h._minimize_at(step.keep, step.elim, step.x_at, step.y_at)
         if on_message is not None:
-            on_message(step.edge, frontier[step.node])
+            on_message(step.edge, msg)
         shapes[step.node] = MessageShape(step.keep)
         records[step.edge] = EdgeRecord(argmin=amap)
-    assert len(records) == len(dtree.edges), "one message must cross each tree edge"
+        return msg
+
+    root, own, children = _walk(cover, quads, observations, dtree, send)
+    h = _assemble(root.held, zip(root.placed, [own, *children]))
     return MessagePassingRun(
         cover=cover,
         dtree=dtree,

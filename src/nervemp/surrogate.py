@@ -17,7 +17,7 @@ import numpy as np
 from .cover import DirectedTree, SubgraphCover, compute_partitions
 from .errors import (DimensionMismatch, InnerOptimizationFailed, NumericalFailure,
                      SingularFit, UnboundedBelow)
-from .exactmp import _check_inputs, _fix_observations
+from .exactmp import _walk
 from .quadform import QuadFunc, quad_sum
 
 # Stream tags for deriving independent per-edge generators from one seed.
@@ -527,25 +527,13 @@ def approx_message_passing(
     the leaves under the rectifier surrogate.  Returns the optimized value,
     the root argmin as a dict, and per-edge diagnostics.
     """
-    _check_inputs(cover, quads, observations)
-    partitions = compute_partitions(cover, dtree)
-    surrogates: dict[int, object] = {}
+    seed, r = config.seed, config.box_radius
     edge_diag = []
-    seed = config.seed
-    r = config.box_radius
-    for i in dtree.postorder():
-        own = _fix_observations(quads[i], observations, cover.observables[i])
-        quad_terms = [own]
-        mlp_terms = []
-        for c in dtree.children[i]:
-            s = surrogates[c]
-            if isinstance(s, QuadSurrogate):
-                quad_terms.append(s.quad)
-            else:
-                mlp_terms.append(s)
-        variables = tuple(sorted(set().union(*(q.vars for q in quad_terms),
-                                             *(s.variables for s in mlp_terms))))
-        objective = _NodeObjective(variables, quad_terms, mlp_terms)
+
+    def centred(step, own, children):
+        quad_kids = [s.quad for s in children if isinstance(s, QuadSurrogate)]
+        mlp_kids = [s for s in children if isinstance(s, MLPSurrogate)]
+        objective = _NodeObjective(tuple(sorted(step.held)), [own, *quad_kids], mlp_kids)
         # The center is the minimizer of the quadratic part (own function
         # plus quadratic child surrogates), the locally available guess of
         # where the node's variables settle; the zero signal is the fallback
@@ -554,27 +542,17 @@ def approx_message_passing(
         try:
             value, center, _ = objective.quad.global_minimize()
         except UnboundedBelow as exc:
-            if i == dtree.root and not mlp_terms:
-                raise exc.at(f"minimization at root {i}") from exc
-            center = np.zeros(len(variables))
-        if i == dtree.root:
-            yhat = center
-            if mlp_terms:
-                try:
-                    vals, pts = _minimize_over(
-                        objective, np.arange(len(variables)), np.zeros((1, 0)),
-                        (center - r, center + r), config.restarts, _rng(seed, _TAG_OPT, i),
-                    )
-                except NumericalFailure as exc:
-                    raise exc.at(f"minimization at root {i}") from exc
-                value, yhat = float(vals[0]), pts[0]
-            return value, dict(zip(variables, yhat.tolist())), {
-                "edges": edge_diag, "exchanges": len(edge_diag),
-            }
-        j = dtree.parent[i]
-        y_idx = [objective.index[v] for v in partitions[(i, j)].y_vars if v in objective.index]
-        ret_idx = [k for k in range(len(variables)) if k not in y_idx]
-        retained = tuple(variables[k] for k in ret_idx)
+            if step.edge is None and not objective.mlps:
+                raise exc.at(f"minimization at root {step.node}") from exc
+            value, center = None, np.zeros(len(objective.variables))
+        return objective, value, center
+
+    def send(step, own, children):
+        objective, _, center = centred(step, own, children)
+        i, j = step.edge
+        retained = tuple(sorted(step.keep))
+        y_idx = [objective.index[v] for v in sorted(step.elim)]
+        ret_idx = [objective.index[v] for v in retained]
         box = tuple((float(center[p] - r), float(center[p] + r)) for p in ret_idx)
         y_bounds = (center[y_idx] - r, center[y_idx] + r)
 
@@ -582,14 +560,10 @@ def approx_message_passing(
             rng_in = _rng(seed, _TAG_OPT, i, 0)
             return _minimize_over(objective, y_idx, X, y_bounds, INNER_RESTARTS, rng_in)[0]
 
-        try:
-            samples = sample_message(
-                message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j), variables=retained,
-            )
-            fitted = fit_surrogate(samples, config, _rng(seed, _TAG_FIT, i, j))
-        except NumericalFailure as exc:
-            raise exc.at(f"message along edge ({i} -> {j})", (i, j)) from exc
-        surrogates[i] = fitted
+        samples = sample_message(
+            message_fn, box, config.m, _rng(seed, _TAG_SAMPLE, i, j), variables=retained,
+        )
+        fitted = fit_surrogate(samples, config, _rng(seed, _TAG_FIT, i, j))
         edge_diag.append({
             "edge": (i, j),
             "m": samples.m,
@@ -597,7 +571,22 @@ def approx_message_passing(
             "fit_residual": float(fitted.fit_residual),
             "message_dim": len(retained),
         })
-    raise AssertionError("traversal ended without reaching the root")
+        return fitted
+
+    root, own, children = _walk(cover, quads, observations, dtree, send)
+    objective, value, yhat = centred(root, own, children)
+    if objective.mlps:
+        try:
+            vals, pts = _minimize_over(
+                objective, np.arange(len(yhat)), np.zeros((1, 0)),
+                (yhat - r, yhat + r), config.restarts, _rng(seed, _TAG_OPT, root.node),
+            )
+        except NumericalFailure as exc:
+            raise exc.at(f"minimization at root {root.node}") from exc
+        value, yhat = float(vals[0]), pts[0]
+    return value, dict(zip(objective.variables, yhat.tolist())), {
+        "edges": edge_diag, "exchanges": len(edge_diag),
+    }
 
 
 def error_ratio(approx_value: float, truth_value: float) -> float:

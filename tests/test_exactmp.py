@@ -29,8 +29,9 @@ from nervemp.cover import (
     direct_tree,
     spanning_tree,
 )
-from nervemp import cover as cover_module, exactmp
-from nervemp.errors import InvalidInstance, MissingVariable, NonUniqueArgmin, UnboundedBelow
+from nervemp import cover as cover_module, exactmp, surrogate
+from nervemp.errors import (InvalidInstance, MissingVariable, NerveMPError, NonUniqueArgmin,
+                            NumericalFailure, UnboundedBelow)
 from nervemp.exactmp import (
     back_substitute,
     centralized_solve,
@@ -494,24 +495,37 @@ def test_only_singular_blocks_are_diagonalized(monkeypatch):
 def test_exact_pipeline_builds_the_partitions_once(monkeypatch):
     """The elimination plan carries the edge partitions: one
     run_message_passing -> local_solve -> back_substitute computes them once,
-    in run_message_passing, and back_substitute computes none."""
+    in run_message_passing, and back_substitute computes none.  One
+    approx_message_passing walks the same plan: it computes them once,
+    through the plan, and fixes observations at the plan's positions, with
+    no call to QuadFunc.fix_vars."""
     cover = gen_random_cover(20, 3, extra_edge_prob=2 / 20)
     quads = regularize(gen_random_quads(cover, 4), 1e-3, 5)
     obs = gen_random_observations(cover, 6)
     dt = direct_tree(spanning_tree(build_nerve(cover), "random", cover, seed=7), 2)
-    calls = []
+    calls = Counter()
 
-    def counted(*args, _fn=compute_partitions):
-        calls.append(args)
-        return _fn(*args)
+    def counting(owner, name):
+        fn = getattr(owner, name)
 
-    for module in (exactmp, cover_module):
-        monkeypatch.setattr(module, "compute_partitions", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (exactmp, cover_module, surrogate):
+        counting(module, "compute_partitions")
+    counting(exactmp, "_plan")
+    counting(QuadFunc, "fix_vars")
     run = run_message_passing(cover, quads, obs, dt)
-    assert len(calls) == 1
+    assert calls["compute_partitions"] == 1
     _, yhat, _ = local_solve(run)
     back_substitute(run, yhat)
-    assert len(calls) == 1
+    assert calls["compute_partitions"] == 1
+    config = ApproxConfig(m=surrogate.identifiability_threshold(cover, dt), seed=1)
+    calls.clear()
+    approx_message_passing(cover, quads, obs, dt, config)
+    assert calls == Counter(compute_partitions=1, _plan=1)
 
 
 def _reference_run(cover, quads, obs, dtree):
@@ -596,6 +610,102 @@ def test_plan_driven_run_equals_the_set_based_traversal(t, seed, root_pick, scra
         _, yhat, _ = local_solve(run)
         want_x = _reference_back_substitute(cover, obs, dtree, maps, aggregated, yhat)
         assert back_substitute(run, yhat).tobytes() == want_x.tobytes()
+
+
+def _reference_approx(cover, quads, obs, dtree, config):
+    """The approximate engine as its own set-based traversal: fix each own
+    quadratic's observables, collect the children's surrogates, sample the
+    message over the sorted union of the terms' variables minus the edge's
+    y-set, fit it, and name the edge or the root of a failure."""
+    sm = surrogate
+    partitions = compute_partitions(cover, dtree)
+    surrogates, edge_diag = {}, []
+    seed, r = config.seed, config.box_radius
+    for i in dtree.postorder():
+        fixed = {v: obs[v] for v in cover.observables[i] if v in quads[i].vars}
+        quad_terms, mlp_terms = [quads[i].fix_vars(fixed) if fixed else quads[i]], []
+        for c in dtree.children[i]:
+            s = surrogates[c]
+            if isinstance(s, sm.QuadSurrogate):
+                quad_terms.append(s.quad)
+            else:
+                mlp_terms.append(s)
+        variables = tuple(sorted(set().union(*(q.vars for q in quad_terms),
+                                             *(s.variables for s in mlp_terms))))
+        objective = sm._NodeObjective(variables, quad_terms, mlp_terms)
+        try:
+            value, center, _ = objective.quad.global_minimize()
+        except UnboundedBelow as exc:
+            if i == dtree.root and not mlp_terms:
+                raise exc.at(f"minimization at root {i}") from exc
+            center = np.zeros(len(variables))
+        if i == dtree.root:
+            yhat = center
+            if mlp_terms:
+                try:
+                    vals, pts = sm._minimize_over(
+                        objective, np.arange(len(variables)), np.zeros((1, 0)),
+                        (center - r, center + r), config.restarts, sm._rng(seed, sm._TAG_OPT, i),
+                    )
+                except NumericalFailure as exc:
+                    raise exc.at(f"minimization at root {i}") from exc
+                value, yhat = float(vals[0]), pts[0]
+            return value, dict(zip(variables, yhat.tolist())), {
+                "edges": edge_diag, "exchanges": len(edge_diag),
+            }
+        j = dtree.parent[i]
+        y_idx = [objective.index[v] for v in partitions[(i, j)].y_vars if v in objective.index]
+        ret_idx = [k for k in range(len(variables)) if k not in y_idx]
+        retained = tuple(variables[k] for k in ret_idx)
+        box = tuple((float(center[p] - r), float(center[p] + r)) for p in ret_idx)
+        y_bounds = (center[y_idx] - r, center[y_idx] + r)
+
+        def message_fn(X):
+            rng_in = sm._rng(seed, sm._TAG_OPT, i, 0)
+            return sm._minimize_over(objective, y_idx, X, y_bounds, sm.INNER_RESTARTS, rng_in)[0]
+
+        try:
+            samples = sm.sample_message(message_fn, box, config.m,
+                                        sm._rng(seed, sm._TAG_SAMPLE, i, j), variables=retained)
+            fitted = sm.fit_surrogate(samples, config, sm._rng(seed, sm._TAG_FIT, i, j))
+        except NumericalFailure as exc:
+            raise exc.at(f"message along edge ({i} -> {j})", (i, j)) from exc
+        surrogates[i] = fitted
+        edge_diag.append({"edge": (i, j), "m": samples.m, "kind": config.kind,
+                          "fit_residual": float(fitted.fit_residual),
+                          "message_dim": len(retained)})
+
+
+def _outcome(run):
+    """What a run returns, or the type, message and edge of what it raises."""
+    try:
+        return run()
+    except NerveMPError as exc:
+        return type(exc), str(exc), getattr(exc, "edge", None)
+
+
+@settings(max_examples=8, deadline=None)
+@given(t=st.integers(min_value=2, max_value=6), seed=st.integers(min_value=0, max_value=10_000),
+       root_pick=st.integers(min_value=0, max_value=10_000), scramble=st.booleans(),
+       m=st.sampled_from([4, 12, 30]))
+def test_plan_driven_approx_run_equals_the_set_based_traversal(t, seed, root_pick, scramble, m):
+    """For every tree strategy, a random root and both surrogate kinds,
+    approx_message_passing, which walks the exact engine's plan, returns
+    the value, argmin and diagnostics of the set-based reference traversal,
+    or raises its error with the same message and edge.  Scrambled variable
+    orders make a leaf's plan order differ from the sorted one the sampling
+    order depends on; few samples make some fits fail."""
+    cover, quads, obs = random_instance(t, seed)
+    if scramble:
+        quads = _scrambled(quads, seed)
+    nerve = build_nerve(cover)
+    for strategy in ("bfs", "random", "max_overlap"):
+        dtree = direct_tree(spanning_tree(nerve, strategy, cover, seed=seed), root_pick % t)
+        for kind in ("quadratic_ls", "one_hidden_layer"):
+            config = ApproxConfig(m=m, kind=kind, box_radius=1.0, restarts=2, seed=seed)
+            got = _outcome(lambda: approx_message_passing(cover, quads, obs, dtree, config))
+            want = _outcome(lambda: _reference_approx(cover, quads, obs, dtree, config))
+            assert got == want
 
 
 def _coeffs(q):
