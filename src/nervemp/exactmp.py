@@ -13,12 +13,14 @@ of every message is fixed by the cover, the tree and the quadratics'
 variable tuples before any number is read, so `_plan` works it out once:
 for each node, the variables its sum holds, the integer positions at which
 its observation-fixed own block and each child's message are added, and
-the positions its edge keeps and eliminates.  The numeric pass in
-`run_message_passing` then only gathers, adds and eliminates arrays at
-those positions, in the order and with the arithmetic of `fix_vars`,
-`quad_sum` and `partial_minimize`, so its messages equal theirs bit for
-bit; `back_substitute` replays the argmin maps by node index into one
-vector.
+the positions its edge keeps and eliminates.  Both engines walk that one
+plan: `_walk` fixes the observations at those positions, hands each node
+its children's messages and names the edge of a failure, and an engine's
+`send` makes the message.  The exact `send` only adds and eliminates
+arrays at the planned positions, in the order and with the arithmetic of
+`fix_vars`, `quad_sum` and `partial_minimize`, so its messages equal
+theirs bit for bit; the approximate one samples and fits a surrogate.
+`back_substitute` replays the argmin maps by node index into one vector.
 
 A message is consumed once, by the sum of the node it is sent to, so the
 numeric pass keeps only the live frontier, as a multifrontal solver frees

@@ -2,9 +2,11 @@
 
 One exchange per tree edge: the sender samples its message on a box,
 transmits the samples, and the receiver fits a surrogate (full quadratic
-least squares or a one-hidden-layer rectifier network).  Everything is
-seeded; per-edge streams derive from (root seed, edge id) so runs are
-bitwise reproducible.
+least squares or a one-hidden-layer rectifier network).  Both engines walk
+one plan: the traversal, the observation fixing and the variable splits
+are the exact engine's upward pass, and only the message differs.
+Everything is seeded; per-edge streams derive from (root seed, edge id) so
+runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -518,14 +520,14 @@ def approx_message_passing(
 ) -> tuple[float, dict, dict]:
     """Approximate message passing: sample, transmit, fit, aggregate, optimize.
 
-    Traversal and variable splits are identical to the exact engine; the
-    only difference is that each edge carries a SampleSet and the receiver
-    works with the fitted surrogate.  Sampling boxes have radius
-    `config.box_radius` around the node's current center (the minimizer of
-    its exact quadratic part).  A node whose terms are all quadratic is
-    minimized in closed form: every node under quadratic least squares, and
-    the leaves under the rectifier surrogate.  Returns the optimized value,
-    the root argmin as a dict, and per-edge diagnostics.
+    It walks the exact engine's plan; each edge carries a SampleSet, and the
+    receiver works with the fitted surrogate over its sorted variables.
+    Sampling boxes have radius `config.box_radius` around the node's
+    current center (the minimizer of its exact quadratic part).  A node
+    whose terms are all quadratic is minimized in closed form: every node
+    under quadratic least squares, and the leaves under the rectifier
+    surrogate.  Returns the optimized value, the root argmin as a dict, and
+    per-edge diagnostics.
     """
     seed, r = config.seed, config.box_radius
     edge_diag = []
