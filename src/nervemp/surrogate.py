@@ -535,6 +535,8 @@ def approx_message_passing(
     def centred(step, own, children):
         quad_kids = [s.quad for s in children if isinstance(s, QuadSurrogate)]
         mlp_kids = [s for s in children if isinstance(s, MLPSurrogate)]
+        # Sorted, not in the plan's order (at a leaf, its quadratic's own):
+        # the order decides which random draw lands on which variable.
         objective = _NodeObjective(tuple(sorted(step.held)), [own, *quad_kids], mlp_kids)
         # The center is the minimizer of the quadratic part (own function
         # plus quadratic child surrogates), the locally available guess of
