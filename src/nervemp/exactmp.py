@@ -56,8 +56,8 @@ class EdgeRecord:
 
 
 class _Step(NamedTuple):
-    """One node's share of the plan.  Positions are 1-D integer arrays; the
-    `*_at` ones index the node's sum, which is over `held`."""
+    """One node's share of the plan.  Positions are 1-D integer arrays;
+    `placed` indexes the node's sum, which is over `held`."""
 
     node: int
     edge: tuple | None  # (node, parent); None at the root
@@ -65,12 +65,10 @@ class _Step(NamedTuple):
     own_fixed: np.ndarray  # their positions in the quadratic
     own_vars: tuple  # its other variables
     own_keep: np.ndarray  # their positions in the quadratic
-    held: tuple  # the own block's order when every term shares it, else sorted
+    held: tuple  # keep + elim, the variables of the node's sum
     placed: tuple  # where the own block, then each child's message, is added
-    keep: tuple  # the message's variables, at x_at in the sum
-    elim: tuple  # the eliminated ones, at y_at
-    x_at: np.ndarray
-    y_at: np.ndarray
+    keep: tuple  # the message's variables and the eliminated ones, each in
+    elim: tuple  # the own block's order when every term shares it, else sorted
 
 
 @dataclass(frozen=True)
@@ -128,20 +126,19 @@ def _plan(cover: SubgraphCover, quads: Sequence[QuadFunc], dtree: DirectedTree) 
         ki = [p for p, v in enumerate(q_vars) if v not in observed] if fi else range(len(q_vars))
         own = tuple(q_vars[p] for p in ki) if fi else q_vars
         terms = [own] + [sent[c] for c in dtree.children[i]]
-        held = own if all(t == own for t in terms) else tuple(sorted(set().union(*terms)))
-        pos = {v: p for p, v in enumerate(held)}
+        order = own if all(t == own for t in terms) else tuple(sorted(set().union(*terms)))
         edge = None if i == dtree.root else (i, dtree.parent[i])
         y_set = frozenset(partitions[edge].y_vars) if edge else frozenset()
-        xi = [p for p, v in enumerate(held) if v not in y_set]
-        yi = [p for p, v in enumerate(held) if v in y_set]
-        keep = tuple(held[p] for p in xi)
-        elim = tuple(held[p] for p in yi)
+        keep = tuple(v for v in order if v not in y_set)
+        elim = tuple(v for v in order if v in y_set)
+        held = keep + elim
+        pos = {v: p for p, v in enumerate(held)}
         steps.append(_Step(
             node=i, edge=edge,
             fixed_vars=tuple(q_vars[p] for p in fi), own_fixed=positions(fi),
             own_vars=own, own_keep=positions(ki),
             held=held, placed=tuple(positions([pos[v] for v in t]) for t in terms),
-            keep=keep, elim=elim, x_at=positions(xi), y_at=positions(yi),
+            keep=keep, elim=elim,
         ))
         if edge:
             sent[i] = keep
@@ -237,7 +234,7 @@ def run_message_passing(
     def send(step, own, children):
         h = _assemble(step.held, zip(step.placed, [own, *children]))
         children.clear()  # the messages are freed before the elimination's temporaries
-        msg, amap = h._minimize_at(step.keep, step.elim, step.x_at, step.y_at)
+        msg, amap = h._minimize_front(len(step.keep))
         if on_message is not None:
             on_message(step.edge, msg)
         shapes[step.node] = MessageShape(step.keep)

@@ -207,30 +207,31 @@ class QuadFunc:
         unknown = elim - set(self.vars)
         if unknown:
             raise UnknownVariable(f"cannot eliminate unknown variables {sorted(unknown)}")
-        xi = [i for i, v in enumerate(self.vars) if v not in elim]
-        yi = [i for i, v in enumerate(self.vars) if v in elim]
-        keep = tuple(self.vars[i] for i in xi)
-        ys = tuple(self.vars[i] for i in yi)
-        return self._minimize_at(keep, ys, xi, yi)
+        order = [i for i, v in enumerate(self.vars) if v not in elim]
+        nx = len(order)
+        order += [i for i, v in enumerate(self.vars) if v in elim]
+        front = self
+        if order != sorted(order):
+            # A principal permutation of a checked quadratic: no re-check.
+            front = object.__new__(QuadFunc)
+            front._set(tuple(self.vars[i] for i in order),
+                       self.A.take(order, 0).take(order, 1), self.b[order], self.c)
+        return front._minimize_front(nx)
 
-    def _minimize_at(self, keep: tuple, ys: tuple, xi, yi) -> tuple["QuadFunc", ArgminMap]:
-        """`partial_minimize` by position: the variables at positions `yi`,
-        named `ys`, are eliminated and those at `xi`, named `keep`, kept."""
+    def _minimize_front(self, nx: int) -> tuple["QuadFunc", ArgminMap]:
+        """`partial_minimize` of a front laid out kept-then-eliminated: the
+        first `nx` variables are kept and the rest eliminated, so A_xx,
+        A_xy, A_yy, b_x and b_y are slices of A and b."""
+        keep, ys = self.vars[:nx], self.vars[nx:]
         if not ys:
-            amap = ArgminMap((), keep, np.zeros((0, len(keep))), np.zeros(0))
-            return self, amap
-        rows = self.A.take(xi, 0)
-        A_xx = rows.take(xi, 1)
-        A_xy = rows.take(yi, 1)
-        del rows  # n_x by n: freed before the elimination's larger temporaries
-        A_yy = self.A.take(yi, 0).take(yi, 1)
-        b_y = self.b[yi]
+            return self, ArgminMap((), keep, np.zeros((0, nx)), np.zeros(0))
+        A_xy, b_y = self.A[:nx, nx:], self.b[nx:]
         # One solve against the stacked [-A_yx | -b_y / 2] gives M and m.
         rhs = -np.column_stack((A_xy.T, 0.5 * b_y))
-        Z, _, min_eig, singular = _eliminate(A_yy, rhs, b_y, np.linalg.norm(self.b))
+        Z, _, min_eig, singular = _eliminate(self.A[nx:, nx:], rhs, b_y, np.linalg.norm(self.b))
         M, m = Z[:, :-1], Z[:, -1]
-        A_new = _sym(A_xx + A_xy @ M)
-        b_new = self.b[xi] + 2.0 * (A_xy @ m)
+        A_new = _sym(self.A[:nx, :nx] + A_xy @ M)
+        b_new = self.b[:nx] + 2.0 * (A_xy @ m)
         c_new = float(self.c + 0.5 * (b_y @ m))
         amap = ArgminMap(ys, keep, M, m, min_eig, singular)
         return QuadFunc._trusted(keep, A_new, b_new, c_new), amap
