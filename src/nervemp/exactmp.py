@@ -267,7 +267,8 @@ def local_solve(run: MessagePassingRun) -> tuple[float, np.ndarray, np.ndarray]:
 def back_substitute(run: MessagePassingRun, yhat_root: np.ndarray) -> np.ndarray:
     """Replay the per-edge argmin maps from the root outward.
 
-    `yhat_root` is `local_solve`'s minimizer over the aggregated vars.
+    `yhat_root` is `local_solve`'s minimizer over the aggregated vars; a
+    wrong length or a non-finite entry raises ValueError.
     Recovers every eliminated variable and returns the full signal over V.
     Requires every elimination block to have been nonsingular.
     """
@@ -279,6 +280,8 @@ def back_substitute(run: MessagePassingRun, yhat_root: np.ndarray) -> np.ndarray
         raise ValueError(
             f"root minimizer has length {y.shape[0]}, expected {len(run.aggregated.vars)}"
         )
+    if not np.isfinite(y).all():
+        raise ValueError("root minimizer must be finite")
     # Nodes absent from every local quadratic are free with no objective;
     # the minimum-norm convention places them at zero, like the
     # centralized solver.

@@ -178,9 +178,6 @@ class QuadFunc:
     def add(self, other: "QuadFunc") -> "QuadFunc":
         return quad_sum([self, other])
 
-    def __add__(self, other):
-        return self.add(other)
-
     def fix_vars(self, fixed: Mapping) -> "QuadFunc":
         known = set(self.vars)
         unknown = [v for v in fixed if v not in known]

@@ -84,7 +84,7 @@ class TestRunMessagePassing:
         assert sent[2].vars == (7, 8)
         assert run.aggregated.vars == (1, 6, 7, 8)  # root private + all shared
         own = quads[0].fix_vars({v: obs[v] for v in cover.observables[0]})
-        manual = own + sent[1] + sent[2]
+        manual = own.add(sent[1]).add(sent[2])
         direct, _, _ = manual.global_minimize()
         agg, _, _ = run.aggregated.global_minimize()
         assert abs(direct - agg) < 1e-12
@@ -262,7 +262,7 @@ class TestBackSubstitute:
             assert np.max(np.abs(xfull - xhat)) <= 1e-6
             total = QuadFunc.zero(cover.graph.nodes)
             for q in quads:
-                total = total + q.embed(cover.graph.nodes)
+                total = total.add(q.embed(cover.graph.nodes))
             assert abs(total.evaluate(xfull) - value) <= 1e-8 * max(1.0, abs(value))
 
     def test_node_unused_by_any_quadratic_reconstructs_to_zero(self):
@@ -313,6 +313,17 @@ class TestBackSubstitute:
             with pytest.raises(ValueError, match="root minimizer has length"):
                 back_substitute(run, bad)
 
+    def test_non_finite_root_minimizer_is_rejected(self):
+        inst = fixture_triangle()
+        dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
+        run = run_message_passing(inst.cover, inst.quads, inst.observations, dt)
+        _, yhat, _ = local_solve(run)
+        for k, bad in enumerate((np.nan, np.inf, -np.inf)):
+            y = yhat.copy()
+            y[k % len(y)] = bad
+            with pytest.raises(ValueError, match="root minimizer must be finite"):
+                back_substitute(run, y)
+
 
 class TestCentralizedSolve:
     def test_all_zero_quadratics(self):
@@ -335,7 +346,7 @@ class TestCentralizedSolve:
         value, xhat, _ = centralized_solve(cover, quads, obs)
         total = QuadFunc.zero(cover.graph.nodes)
         for q in quads:
-            total = total + q.embed(cover.graph.nodes)
+            total = total.add(q.embed(cover.graph.nodes))
         grad = 2.0 * total.A @ xhat + total.b
         free = [v for v in cover.graph.nodes if v not in set(cover.s_order)]
         assert np.max(np.abs(grad[free])) <= 1e-9 * (1 + np.abs(grad).max())

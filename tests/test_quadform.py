@@ -20,7 +20,10 @@ from nervemp.quadform import (
     PSD_TOL,
     RANK_RCOND,
     UNBOUNDED_TOL,
+    ArgminMap,
     QuadFunc,
+    _eliminate,
+    _sym,
     quad_sum,
     subspace_distance_quad,
 )
@@ -110,7 +113,7 @@ class TestAdd:
     def test_two_squares(self):
         qx = QuadFunc(("x",), [[1.0]], [0.0], 0.0)
         qy = QuadFunc(("y",), [[1.0]], [0.0], 0.0)
-        q = qx + qy
+        q = qx.add(qy)
         assert q.vars == ("x", "y")
         assert np.array_equal(q.A, np.eye(2))
 
@@ -118,14 +121,14 @@ class TestAdd:
         rng = np.random.default_rng(4)
         q = random_quad(3, rng)
         z = QuadFunc.zero(q.vars)
-        s = q + z
+        s = q.add(z)
         assert np.array_equal(s.A, q.A) and s.c == q.c
 
     def test_pointwise_sum_oracle(self):
         rng = np.random.default_rng(5)
         q1 = QuadFunc((0, 2, 4), random_psd(3, rng), rng.standard_normal(3), 1.5)
         q2 = QuadFunc((1, 2, 3), random_psd(3, rng), rng.standard_normal(3), -0.5)
-        s = q1 + q2
+        s = q1.add(q2)
         assert s.vars == (0, 1, 2, 3, 4)
         pos = {v: i for i, v in enumerate(s.vars)}
         for _ in range(1000):
@@ -149,7 +152,7 @@ class TestQuadSum:
         for terms in (same, mixed):
             chained = terms[0]
             for q in terms[1:]:
-                chained = chained + q
+                chained = chained.add(q)
             assert self._bytes(quad_sum(terms)) == self._bytes(chained)
         assert quad_sum(same).vars == shared
         assert quad_sum(mixed).vars == (0, 2, 5, 7)
@@ -159,7 +162,7 @@ class TestQuadSum:
         q1 = random_quad(3, rng)
         q2 = QuadFunc((2, 4), random_psd(2, rng), rng.standard_normal(2), 1.0)
         sup = (4, 0, 9, 2, 1)
-        expect = QuadFunc.zero(sup) + q1.embed(sup) + q2.embed(sup)
+        expect = QuadFunc.zero(sup).add(q1.embed(sup)).add(q2.embed(sup))
         assert self._bytes(quad_sum([q1, q2], sup)) == self._bytes(expect)
 
     def test_missing_variable(self):
@@ -625,3 +628,73 @@ def test_derived_quadratics_equal_the_validated_constructor_bitwise(seed):
         assert np.array_equal(r.A, r.A.T)
         assert np.array_equal(checked.A, r.A) and np.array_equal(checked.b, r.b)
         assert checked.c == r.c
+
+
+def _gathered_minimize(q, elim):
+    """partial_minimize as it was before fronts were laid out
+    kept-then-eliminated: A_xx, A_xy, A_yy, b_x and b_y are gathered from q
+    at the kept and eliminated positions, each in q's order, with `take`."""
+    elim = set(elim)
+    xi = [i for i, v in enumerate(q.vars) if v not in elim]
+    yi = [i for i, v in enumerate(q.vars) if v in elim]
+    keep = tuple(q.vars[i] for i in xi)
+    ys = tuple(q.vars[i] for i in yi)
+    if not ys:
+        return q, ArgminMap((), keep, np.zeros((0, len(keep))), np.zeros(0))
+    rows = q.A.take(xi, 0)
+    A_xx = rows.take(xi, 1)
+    A_xy = rows.take(yi, 1)
+    A_yy = q.A.take(yi, 0).take(yi, 1)
+    b_y = q.b[yi]
+    rhs = -np.column_stack((A_xy.T, 0.5 * b_y))
+    Z, _, min_eig, singular = _eliminate(A_yy, rhs, b_y, np.linalg.norm(q.b))
+    M, m = Z[:, :-1], Z[:, -1]
+    A_new = _sym(A_xx + A_xy @ M)
+    b_new = q.b[xi] + 2.0 * (A_xy @ m)
+    c_new = float(q.c + 0.5 * (b_y @ m))
+    amap = ArgminMap(ys, keep, M, m, min_eig, singular)
+    return QuadFunc._trusted(keep, A_new, b_new, c_new), amap
+
+
+def _elimination_bytes(minimize, q, elim):
+    """Everything a partial minimization returns, as comparable bytes, or
+    the type and message of what it raised."""
+    try:
+        msg, amap = minimize(q, elim)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (msg.vars, msg.A.shape, msg.A.tobytes(), msg.b.tobytes(), np.float64(msg.c).tobytes(),
+            amap.eliminated, amap.inputs, amap.M.shape, amap.M.tobytes(), amap.m.tobytes(),
+            np.float64(amap.min_eig).tobytes(), amap.singular)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), rank=st.integers(min_value=0, max_value=30),
+       ridge=st.booleans(), b_in_range=st.booleans(),
+       elim_kind=st.sampled_from(("empty", "full", "random")),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_front_elimination_equals_the_gathered_elimination_bitwise(
+        n, rank, ridge, b_in_range, elim_kind, seed):
+    """partial_minimize, which lays its quadratic out kept-then-eliminated
+    and reads the blocks as slices, returns the same bytes as the former
+    gather-based elimination, or raises the same error with the same
+    message: on rank-deficient and regularized matrices, with b in the range
+    of A or generic, scrambled variable names, and empty, full or random
+    elimination sets."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, min(rank, n))) * 10.0 ** int(rng.integers(-2, 3))
+    A = G @ G.T
+    if ridge:
+        A += np.diag(rng.uniform(1e-3, 1e-1, n))
+    b = A @ rng.standard_normal(n) if b_in_range else rng.standard_normal(n)
+    names = [int(v) for v in rng.permutation(3 * n)[:n]]
+    q = QuadFunc(names, A, b, float(rng.standard_normal()))
+    if elim_kind == "empty":
+        elim = []
+    elif elim_kind == "full":
+        elim = list(rng.permutation(names))
+    else:
+        share = rng.uniform()
+        elim = [v for v in names if rng.random() < share]
+    want = _elimination_bytes(_gathered_minimize, q, elim)
+    assert _elimination_bytes(QuadFunc.partial_minimize, q, elim) == want
