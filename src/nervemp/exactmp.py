@@ -11,14 +11,16 @@ A run has two passes, as a sparse direct solver splits its symbolic and
 numeric factorizations (George & Liu 1981; Davis 2006, ch. 4).  The shape
 of every message is fixed by the cover, the tree and the quadratics'
 variable tuples before any number is read, so `_plan` works it out once:
-for each node, the variables its sum holds, the integer positions at which
-its observation-fixed own block and each child's message are added, and
-the positions its edge keeps and eliminates.  Both engines walk that one
-plan: `_walk` fixes the observations at those positions, hands each node
-its children's messages and names the edge of a failure, and an engine's
-`send` makes the message.  The exact `send` only adds and eliminates
-arrays at the planned positions, in the order and with the arithmetic of
-`fix_vars`, `quad_sum` and `partial_minimize`, so its messages equal
+for each node, the variables its sum holds, laid out as those its edge
+keeps followed by those it eliminates, and the integer positions at which
+its observation-fixed own block and each child's message are added.  Each
+sum is then a frontal matrix (Duff & Reid 1983) whose kept and eliminated
+blocks are slices.  Both engines walk that one plan: `_walk` fixes the
+observations at the planned positions, hands each node its children's
+messages and names the edge of a failure, and an engine's `send` makes the
+message.  The exact `send` only adds arrays at the planned positions and
+eliminates the sum's trailing block, in the order and with the arithmetic
+of `fix_vars`, `quad_sum` and `partial_minimize`, so its messages equal
 theirs bit for bit; the approximate one samples and fits a surrogate.
 `back_substitute` replays the argmin maps by node index into one vector.
 

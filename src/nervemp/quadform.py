@@ -23,23 +23,28 @@ factorization, and only a singular one is diagonalized, for its
 pseudoinverse, its kernel and the unboundedness test.  It owns the
 elimination tolerances RANK_RCOND and UNBOUNDED_TOL.
 
-`quad_sum`, `fix_vars` and `partial_minimize` work out from variable names
-which positions to add, fix or eliminate, then call `_assemble`, `_fix_at`
-and `_minimize_at`, which take those positions as integer arrays.  The exact
-engine, whose positions are fixed before any number is read, calls the
-position forms directly, so both do the same arithmetic.
+`quad_sum` and `fix_vars` work out from variable names which positions to
+add or fix, then call `_assemble` and `_fix_at`, which take those positions
+as integer arrays.  An elimination reads a front, a quadratic laid out with
+its kept variables first and its eliminated ones last, so that A_xx, A_xy,
+A_yy, b_x and b_y are slices, as in a multifrontal solver's frontal matrix
+(Duff & Reid 1983).  `partial_minimize` gathers its quadratic into that
+layout once and calls `_minimize_front`.  The exact engine, whose positions
+and layouts are fixed before any number is read, assembles each sum as a
+front and calls the position forms directly, so both do the same arithmetic.
 
 Inputs are validated once, at the boundary.  The public constructor checks
 distinct variables, finite coefficients, symmetry to SYM_TOL and PSD to
 PSD_TOL.  Sums, principal submatrices and Schur complements of PSD matrices
 are PSD, so the quadratics that `quad_sum`, `fix_vars` and
 `partial_minimize` build from existing ones skip the symmetry and PSD
-tests (they are exactly symmetric); only their finiteness is checked.  PSD
-is checked, to the same PSD_TOL, on every block `_eliminate` factors, and
-an indefinite block raises UnboundedBelow.  By Haynsworth's inertia
-additivity, inertia(H) = inertia(H_yy) + inertia(H / H_yy) for a
-nonsingular H_yy, so a negative direction of an intermediate reaches some
-eliminated block or the final `global_minimize`.
+tests (they are exactly symmetric); only their finiteness is checked, and a
+front gathered from a checked quadratic, a principal permutation of it, is
+not checked again.  PSD is checked, to the same PSD_TOL, on every block
+`_eliminate` factors, and an indefinite block raises UnboundedBelow.  By
+Haynsworth's inertia additivity, inertia(H) = inertia(H_yy) +
+inertia(H / H_yy) for a nonsingular H_yy, so a negative direction of an
+intermediate reaches some eliminated block or the final `global_minimize`.
 """
 
 from __future__ import annotations
