@@ -239,21 +239,6 @@ def fixture_triangle(seed: int = 7) -> Instance:
     return Instance(cover=cover, quads=tuple(quads), task=None, observations=observations)
 
 
-def measure_stats(cover: SubgraphCover) -> tuple[tuple[int, int, int, int], ...]:
-    """Re-measure (|X_i|, |Y_i|, |S_i|, |V_i|) from a cover."""
-    rows = []
-    for i in range(cover.t):
-        vs = cover.node_set(i)
-        others = set()
-        for j in range(cover.t):
-            if j != i:
-                others |= cover.node_set(j)
-        x = len(vs & others)
-        s = len(cover.observables[i])
-        rows.append((x, len(vs) - x - s, s, len(vs)))
-    return tuple(rows)
-
-
 def _allocate_shared(rows, nerve_edges, rng) -> dict | None:
     """Integer weights >= 1 per nerve edge with weighted degrees |X_i|.
 

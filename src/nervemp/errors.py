@@ -78,4 +78,5 @@ class InnerOptimizationFailed(NumericalFailure):
 
 class SingularFit(NumericalFailure):
     """A surrogate fit failed: rank-deficient beyond ridge rescue, diverged
-    in training, or fitted a quadratic that is not convex."""
+    in training at the full step and again at half of it, or fitted a
+    quadratic that is not convex."""

@@ -87,11 +87,6 @@ class ArgminMap:
     min_eig: float = float("inf")
     singular: bool = False
 
-    def apply(self, assignment: Mapping) -> dict:
-        x = np.array([float(assignment[v]) for v in self.inputs])
-        y = self.M @ x + self.m if len(self.inputs) else self.m.copy()
-        return dict(zip(self.eliminated, y.tolist()))
-
 
 def _finite(A: np.ndarray, b: np.ndarray, c) -> float:
     c = float(c)
@@ -160,14 +155,6 @@ class QuadFunc:
     @classmethod
     def zero(cls, variables: Iterable = ()) -> "QuadFunc":
         return quad_sum((), variables)
-
-    def evaluate(self, assignment) -> float:
-        x = np.asarray(assignment, dtype=float).reshape(-1)
-        if x.shape[0] != len(self.vars):
-            raise DimensionMismatch(
-                f"assignment has length {x.shape[0]}, expected {len(self.vars)}"
-            )
-        return float(x @ self.A @ x + self.b @ x + self.c)
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

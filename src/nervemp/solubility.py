@@ -20,7 +20,7 @@ import numpy as np
 
 from .cover import SpanningTree, SubgraphCover, compute_partitions, direct_tree
 from .errors import IllDefinedTask
-from .exactmp import centralized_solve, local_solve, run_message_passing
+from .exactmp import _check_inputs, centralized_solve, local_solve, run_message_passing
 from .quadform import QuadFunc, quad_sum
 
 RANK_TOL = 1e-8
@@ -116,16 +116,18 @@ def global_problem_map(
     One partial minimization of the assembled objective over the unobserved
     nodes gives the argmin map xhat_free(s) = M s + m, so tau(xhat(s)) =
     (L_S + L_free M) s + L_free m + d.  Only linear tasks admit the affine
-    representation.
+    representation.  A nonsingular eliminated block has an empty kernel, so
+    every task is well defined on it: the centralized oracle behind
+    `task_welldefined` runs only when the block is singular.
     """
     if task.kind != "linear":
         raise ValueError("the objective task's global problem is quadratic in s; "
                          "no affine map exists")
-    ok, _ = task_welldefined(cover, quads, task)
-    if not ok:
-        raise IllDefinedTask("task is not constant on the minimizer set")
+    _check_inputs(cover, quads)
     free = set(cover.graph.nodes) - cover.observable_set
     _, amap = quad_sum(quads, cover.graph.nodes).partial_minimize(free)
+    if amap.singular and not task_welldefined(cover, quads, task)[0]:
+        raise IllDefinedTask("task is not constant on the minimizer set")
     # amap.inputs are the observable nodes in node order, i.e. s_order.
     L_free = task.L[:, list(amap.eliminated)]
     matrix = task.L[:, list(amap.inputs)] + L_free @ amap.M

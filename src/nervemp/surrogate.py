@@ -220,13 +220,16 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
 
     Full-batch Nesterov momentum trains all weights until the training loss
     has not improved by a relative PLATEAU_RTOL for PLATEAU_WINDOW epochs,
-    or for at most EPOCH_CAP epochs.  For fixed hidden weights the output
-    layer is a linear least-squares problem (variable projection: Golub &
-    Pereyra, SIAM J. Numer. Anal. 1973), so (W2, b2) is then set to the
-    ridge solution over F = [relu(Z W1 + b1), 1], read off one SVD of F.
-    The ridge is the point of RIDGE_GRID that minimizes generalized
-    cross-validation (Golub, Heath & Wahba, Technometrics 1979), computed
-    from the same SVD.
+    or for at most EPOCH_CAP epochs.  If the loss or the weights turn
+    non-finite, training restarts once from the same initial weights at
+    LEARNING_RATE / 2, and SingularFit is raised only if that run diverges
+    too; a run that converges at LEARNING_RATE is the whole fit.  For fixed
+    hidden weights the output layer is a linear least-squares problem
+    (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 1973), so
+    (W2, b2) is then set to the ridge solution over F = [relu(Z W1 + b1), 1],
+    read off one SVD of F.  The ridge is the point of RIDGE_GRID that
+    minimizes generalized cross-validation (Golub, Heath & Wahba,
+    Technometrics 1979), computed from the same SVD.
     """
     X = samples.inputs
     y = samples.outputs
@@ -250,39 +253,44 @@ def _fit_mlp(samples: SampleSet, seed) -> MLPSurrogate:
     a1 = np.sqrt(6.0 / (d + H))
     a2 = np.sqrt(6.0 / (H + 1))
     n1 = (d + 1) * H
-    weights = np.zeros(n1 + H + 1)
-    weights[: d * H] = rng.uniform(-a1, a1, size=d * H)
-    weights[n1 : n1 + H] = rng.uniform(-a2, a2, size=H)
-    velocity = np.zeros_like(weights)
-    grad = np.empty_like(weights)
+    init = np.zeros(n1 + H + 1)
+    init[: d * H] = rng.uniform(-a1, a1, size=d * H)
+    init[n1 : n1 + H] = rng.uniform(-a2, a2, size=H)
+    grad = np.empty_like(init)
     g1, g2 = grad[:n1].reshape(d + 1, H), grad[n1:]
-    best, stalled, epochs = np.inf, 0, 0
-    # A step size too large for the data makes the weights blow up; that is
-    # reported here, as a failed fit, before the SVD meets it.
+    # A step size too large for the data makes the weights blow up; a second
+    # blow-up, at half the step, is reported as a failed fit before the SVD.
     with np.errstate(over="ignore", invalid="ignore"):
-        while epochs < EPOCH_CAP and stalled < PLATEAU_WINDOW:
-            # Nesterov lookahead: gradient at the momentum-extrapolated point.
-            look = weights + MOMENTUM * velocity
-            w2 = look[n1:]
-            pre = Z1 @ look[:n1].reshape(d + 1, H)
-            np.maximum(pre, 0.0, out=F[:, :H])
-            err = F @ w2 - t
-            loss = float(err @ err)
-            if not np.isfinite(loss):
-                raise SingularFit(f"training loss turned non-finite at epoch {epochs + 1}")
-            gpred = err * (2.0 / m)
-            np.matmul(gpred, F, out=g2)
-            np.matmul(Z1.T, (gpred[:, None] * w2[:H]) * (pre > 0), out=g1)
-            velocity *= MOMENTUM
-            velocity -= LEARNING_RATE * grad
-            weights += velocity
-            epochs += 1
-            if loss < best * (1.0 - PLATEAU_RTOL):
-                best, stalled = loss, 0
-            else:
-                stalled += 1
-        if not np.isfinite(weights).all():
-            raise SingularFit(f"training weights turned non-finite at epoch {epochs}")
+        for rate in (LEARNING_RATE, LEARNING_RATE / 2):
+            weights, velocity = init.copy(), np.zeros_like(init)
+            best, stalled, epochs, failure = np.inf, 0, 0, None
+            while epochs < EPOCH_CAP and stalled < PLATEAU_WINDOW:
+                # Nesterov lookahead: gradient at the momentum-extrapolated point.
+                look = weights + MOMENTUM * velocity
+                w2 = look[n1:]
+                pre = Z1 @ look[:n1].reshape(d + 1, H)
+                np.maximum(pre, 0.0, out=F[:, :H])
+                err = F @ w2 - t
+                loss = float(err @ err)
+                if not np.isfinite(loss):
+                    failure = f"training loss turned non-finite at epoch {epochs + 1}"
+                    break
+                gpred = err * (2.0 / m)
+                np.matmul(gpred, F, out=g2)
+                np.matmul(Z1.T, (gpred[:, None] * w2[:H]) * (pre > 0), out=g1)
+                velocity *= MOMENTUM
+                velocity -= rate * grad
+                weights += velocity
+                epochs += 1
+                if loss < best * (1.0 - PLATEAU_RTOL):
+                    best, stalled = loss, 0
+                else:
+                    stalled += 1
+            if failure is None and np.isfinite(weights).all():
+                break
+            failure = failure or f"training weights turned non-finite at epoch {epochs}"
+        else:
+            raise SingularFit(failure)
     W1 = weights[:n1].reshape(d + 1, H)
     np.maximum(Z1 @ W1, 0.0, out=F[:, :H])
     U, sv, Vt = np.linalg.svd(F, full_matrices=False)

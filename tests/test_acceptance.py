@@ -152,8 +152,8 @@ def test_criterion_3_elimination_oracles():
             y_star, *_ = np.linalg.lstsq(A_yy, rhs, rcond=None)
             full = np.empty(n)
             full[ki], full[yi] = x, y_star
-            kkt_val = q.evaluate(full)
-            got = msg.evaluate(x)
+            kkt_val = q.evaluate_batch(full[None])[0]
+            got = msg.evaluate_batch(x[None])[0]
             worst_kkt = max(worst_kkt, abs(got - kkt_val) / max(1.0, abs(kkt_val)))
             if n_elim <= 2:
                 assert np.max(np.abs(y_star)) < 4.5

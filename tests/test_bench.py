@@ -15,7 +15,6 @@ from nervemp.bench import (
     gen_distributed_sampling,
     gen_random_cover,
     generate_instance,
-    measure_stats,
     random_nerve_for_stats,
     records_csv,
     run_experiment,
@@ -83,6 +82,22 @@ class TestFixtureEg32:
     def test_round_trips_through_file_format(self):
         text = dumps(fixture_eg32())
         assert dumps(loads(text)) == text
+
+
+def measure_stats(cover):
+    """Re-measure (|X_i|, |Y_i|, |S_i|, |V_i|) from a cover: the reference
+    that `cover_from_stats` is checked against."""
+    rows = []
+    for i in range(cover.t):
+        vs = cover.node_set(i)
+        others = set()
+        for j in range(cover.t):
+            if j != i:
+                others |= cover.node_set(j)
+        x = len(vs & others)
+        s = len(cover.observables[i])
+        rows.append((x, len(vs) - x - s, s, len(vs)))
+    return tuple(rows)
 
 
 class TestCoverFromStats:

@@ -81,7 +81,7 @@ class TestGen:
         assert run_cli("gen", "--kind", "cover-stats", "--rows", rows,
                        "--seed", "1", "--out", out) == 0
         inst = load_instance(out)
-        from nervemp.bench import measure_stats
+        from test_bench import measure_stats
 
         assert measure_stats(inst.cover) == ((2, 2, 2, 6), (2, 2, 2, 6))
 
@@ -314,9 +314,9 @@ class TestRunApprox:
         assert re.search(r"message along edge \(\d+ -> \d+\): 3 samples cannot", err), err
 
     def test_diverging_fit_exits_three(self, tmp_path, capsys, monkeypatch):
-        """A training run whose loss blows up is a failed fit (exit 3), not
-        invalid input, and it writes nothing."""
-        monkeypatch.setattr(surrogate, "LEARNING_RATE", 1.0)
+        """A training run whose loss blows up at its step and at half of it
+        is a failed fit (exit 3), not invalid input, and it writes nothing."""
+        monkeypatch.setattr(surrogate, "LEARNING_RATE", 2.0)
         inst_path = tmp_path / "inst.json"
         save_instance(fixture_eg32(), inst_path)
         out = tmp_path / "res.json"

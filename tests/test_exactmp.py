@@ -41,6 +41,7 @@ from nervemp.exactmp import (
     run_message_passing,
 )
 from nervemp.quadform import QuadFunc, quad_sum
+from nervemp.solubility import global_problem_map, linear_task
 from nervemp.surrogate import ApproxConfig, approx_message_passing
 
 
@@ -141,7 +142,8 @@ class TestRunMessagePassing:
 
     def test_quadratic_outside_its_subgraph_rejected_by_every_solver(self):
         """Quadratic 0 also covers node 3, which only subgraph 2 holds: the
-        loader's rule, applied by both engines and the oracle."""
+        loader's rule, applied by both engines, the oracle and the global
+        problem map."""
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         cover = SubgraphCover(g, [(0, 1), (1, 2), (2, 3)], [(0,), (), (3,)])
         quads = (
@@ -158,10 +160,12 @@ class TestRunMessagePassing:
             approx_message_passing(cover, quads, obs, dt, ApproxConfig(m=10, seed=1))
         with pytest.raises(InvalidInstance, match=message):
             centralized_solve(cover, quads, obs)
+        with pytest.raises(InvalidInstance, match=message):
+            global_problem_map(cover, quads, linear_task(np.zeros((1, cover.graph.n))))
 
     def test_quadratic_count_rejected_by_every_solver(self):
         """One quadratic short: the loader's rule and message, applied by
-        both engines and the oracle."""
+        both engines, the oracle and the global problem map."""
         inst = fixture_triangle()
         quads = inst.quads[:-1]
         dt = direct_tree(spanning_tree(build_nerve(inst.cover), "bfs", inst.cover), 0)
@@ -173,6 +177,8 @@ class TestRunMessagePassing:
                                    ApproxConfig(m=10, seed=1))
         with pytest.raises(InvalidInstance, match=message):
             centralized_solve(inst.cover, quads, inst.observations)
+        with pytest.raises(InvalidInstance, match=message):
+            global_problem_map(inst.cover, quads, linear_task(np.zeros((1, inst.cover.graph.n))))
 
     def test_unbounded_reports_the_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -263,7 +269,7 @@ class TestBackSubstitute:
             total = QuadFunc.zero(cover.graph.nodes)
             for q in quads:
                 total = total.add(q.embed(cover.graph.nodes))
-            assert abs(total.evaluate(xfull) - value) <= 1e-8 * max(1.0, abs(value))
+            assert abs(total.evaluate_batch(xfull[None])[0] - value) <= 1e-8 * max(1.0, abs(value))
 
     def test_node_unused_by_any_quadratic_reconstructs_to_zero(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -561,7 +567,10 @@ def _reference_back_substitute(cover, obs, dtree, maps, aggregated, yhat):
     assign = {v: float(obs[v]) for v in cover.s_order}
     assign.update(zip(aggregated.vars, yhat.tolist()))
     for i in reversed(dtree.postorder()[:-1]):
-        assign.update(maps[(i, dtree.parent[i])].apply(assign))
+        amap = maps[(i, dtree.parent[i])]
+        x = np.array([assign[v] for v in amap.inputs])
+        y = amap.M @ x + amap.m if amap.inputs else amap.m
+        assign.update(zip(amap.eliminated, y.tolist()))
     return np.array([assign.get(v, 0.0) for v in cover.graph.nodes])
 
 

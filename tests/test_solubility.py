@@ -425,3 +425,30 @@ def test_analysis_record_computes_partitions_once(monkeypatch):
         calls.clear()
         analysis_record(cover, quads, task, stree, leaf)
         assert len(calls) == 1
+
+
+def test_oracle_runs_only_for_a_singular_global_block(monkeypatch):
+    """On a regularized instance the global problem's eliminated block is
+    nonsingular, so no linear-task analysis record calls the centralized
+    oracle; a singular block still reaches it and rejects an ill-defined
+    task."""
+    cover = gen_random_cover(8, 5, extra_edge_prob=0.25)
+    quads = regularize(gen_random_quads(cover, 6), 1e-2, 7)
+    task = linear_task(np.random.default_rng(8).standard_normal((2, cover.graph.n)))
+    stree = spanning_tree(build_nerve(cover), "bfs", cover)
+    calls = []
+
+    def counted(*args, _fn=solubility.centralized_solve, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(solubility, "centralized_solve", counted)
+    for leaf in [i for i in stree.nodes if sum(i in e for e in stree.edges) == 1]:
+        analysis_record(cover, quads, task, stree, leaf)
+    assert calls == []
+    inst = fixture_eg32()
+    L = np.zeros((1, 7))
+    L[0, 6] = 1.0
+    with pytest.raises(IllDefinedTask):
+        global_problem_map(inst.cover, inst.quads, linear_task(L))
+    assert len(calls) == 1

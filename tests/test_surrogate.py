@@ -56,7 +56,7 @@ class TestSampleMessage:
         q = QuadFunc((0, 1, 2), (G @ G.T + G.T @ G) / 6 + np.eye(3), rng.standard_normal(3), 0.5)
         ss = sample_message(q.evaluate_batch, [(-2, 2)] * 3, 50, 11, variables=q.vars)
         for x, y in zip(ss.inputs, ss.outputs):
-            assert abs(q.evaluate(x) - y) <= 1e-12 * max(1.0, abs(y))
+            assert abs(q.evaluate_batch(x[None])[0] - y) <= 1e-12 * max(1.0, abs(y))
 
     @pytest.mark.parametrize("box", [((-1, 1),), ((-1, 1), (-1, 1), (-1, 1))])
     def test_box_of_the_wrong_length_rejected(self, box):
@@ -166,13 +166,34 @@ class TestFitMLP:
 
     def test_diverging_training_is_a_failed_fit(self, monkeypatch):
         """A step size too large for the data drives the training loss to
-        infinity: the fit fails as SingularFit, not in the SVD after it,
-        and no overflow warning escapes."""
-        monkeypatch.setattr(surrogate, "LEARNING_RATE", 1.0)
+        infinity at the step and at its half: the fit fails as SingularFit,
+        not in the SVD after it, and no overflow warning escapes."""
+        monkeypatch.setattr(surrogate, "LEARNING_RATE", 2.0)
         ss = sample_message(lambda X: (X**2).sum(axis=1), [(-1, 1)] * 3, 40, 0,
                             variables=(0, 1, 2))
         with pytest.raises(SingularFit, match="training loss turned non-finite at epoch"):
             fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 1)
+
+    def test_a_diverging_run_is_retried_once_at_half_the_step(self, monkeypatch):
+        """On these samples a step of 0.5 diverges and 0.25 converges: the
+        fit at 0.5 is, bit for bit, the fit that starts at 0.25."""
+        ss = sample_message(lambda X: (X**2).sum(axis=1), [(-1, 1)] * 3, 40, 0,
+                            variables=(0, 1, 2))
+        fits = []
+        for rate in (0.5, 0.25):
+            monkeypatch.setattr(surrogate, "LEARNING_RATE", rate)
+            fits.append(fit_surrogate(ss, ApproxConfig(kind="one_hidden_layer"), 1))
+        for name in ("W1", "b1", "W2"):
+            assert np.array_equal(getattr(fits[0], name), getattr(fits[1], name))
+        assert (fits[0].b2, fits[0].epochs, fits[0].fit_residual) == (
+            fits[1].b2, fits[1].epochs, fits[1].fit_residual)
+
+    def test_a_fixture_fit_that_diverged_at_the_full_step_now_fits(self):
+        """A 12-sample rectifier fit of the reduced-objective fixture that
+        diverges at LEARNING_RATE converges on its retry."""
+        objective, _, _ = _random_node_objective(3728, ["free"], False)
+        (fit,) = objective.mlps
+        assert np.isfinite(fit.W1).all() and np.isfinite(fit.fit_residual)
 
     def test_same_seed_fits_are_bit_identical(self):
         ss = sample_message(lambda X: X[:, 0] * X[:, 1], [(-2, 2)] * 2, 40, 5, variables=(0, 1))
