@@ -332,3 +332,40 @@ def compute_partitions(cover: SubgraphCover, dtree: DirectedTree) -> dict:
             z_vars=tuple(sorted(z_set)),
         )
     return partitions
+
+
+def _root_free_nodes(cover: SubgraphCover, dtree: DirectedTree) -> frozenset:
+    """The unobserved nodes that reach the root's sum: those in no y-set of
+    `compute_partitions`, found without computing any edge's partition.
+
+    Let a be the lowest tree node whose subtree holds every subgraph that
+    contains a free node v.  By `compute_partitions`' rule no edge below a
+    eliminates v, and each node on the way up holds it in x or z.  If a is
+    not the root, V_a's parent misses v, so v is in a's x only if it lies in
+    V_a & V_k for a complement neighbour k of a; otherwise a's edge
+    eliminates it.  Kept, it reaches a's parent p, whose x misses it too, so
+    p's edge eliminates it unless p is the root.  Hence v reaches the root
+    iff a is the root, or a's parent is the root and v lies in V_a & V_k for
+    a complement neighbour k of a.  So every node of V_root reaches it, and
+    a node of one other subgraph never does.  A shared node's a is the root
+    when its subgraphs lie under two of the root's children.  When they all
+    lie under one child c, the node reaches the root only if a = c and V_c
+    holds it, that is, only if c is among its subgraphs.
+    """
+    branch: dict[int, int] = {}  # the root's child whose subtree holds each node
+    for c in dtree.children[dtree.root]:
+        stack = [c]
+        while stack:
+            i = stack.pop()
+            branch[i] = c
+            stack.extend(dtree.children[i])
+    complement = set(dtree.complement)
+    reach = set(cover.node_set(dtree.root))
+    for v, ids in cover._node_subgraphs.items():
+        if len(ids) == 1 or v in reach:
+            continue
+        tops = {branch[k] for k in ids}
+        c = tops.pop() if len(tops) == 1 else None
+        if c is None or (c in ids and any(_norm_edge(c, k) in complement for k in ids)):
+            reach.add(v)
+    return frozenset(reach - cover.observable_set)

@@ -18,7 +18,7 @@ from .cover import Graph, SubgraphCover
 from .errors import InvalidInstance
 from .exactmp import _check_inputs
 from .quadform import QuadFunc
-from .solubility import TaskSpec
+from .solubility import TaskSpec, _check_linear_task
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,8 @@ def from_payload(payload: dict) -> Instance:
             tp = payload["task"]
             if tp["kind"] == "linear":
                 L = _floats(tp["L"], "task matrix")
-                if L.ndim != 2 or L.shape[1] != n:
-                    raise InvalidInstance(f"task matrix has shape {L.shape}, expected (*, {n})")
                 d = _floats(tp["d"], "task offset")
-                for name, values in (("matrix", L), ("offset", d)):
-                    bad = np.argwhere(~np.isfinite(values))
-                    if bad.size:
-                        where = tuple(bad[0].tolist())
-                        raise InvalidInstance(f"task {name} entry {where} is not finite")
+                _check_linear_task(L, d, n)
                 task = TaskSpec(kind="linear", L=L, d=d)
             elif tp["kind"] == "objective_value":
                 task = TaskSpec(kind="objective_value")

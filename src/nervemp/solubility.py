@@ -6,9 +6,14 @@ problem s -> tau(xhat(s)) is affine and is read off the argmin map of one
 partial minimization over the unobserved nodes.  The jet analysis works at
 order 2, which determines a quadratic message completely, and computes the
 generic rank of the coefficient map s -> (A, b, c) of a leaf's message from
-one elimination that keeps the observations as variables.  The direct test
-reads the root's argmin map s -> yhat_root(s) off the assembled objective
-the same way, without running the engine.
+one elimination that keeps the observations as variables, read off the
+cover alone.  The direct test assembles the objective once and reads both
+the global problem map and the root's argmin map s -> yhat_root(s) off it,
+without running the engine; which unobserved nodes reach the root comes
+from a root-only rule on the tree (`cover._root_free_nodes`), not from
+every edge's partition.  A linear task is checked against the graph (one
+column of L per node, every entry finite) by the rule the instance loader
+applies, once per entry call.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cover import SpanningTree, SubgraphCover, compute_partitions, direct_tree
-from .errors import IllDefinedTask
+from .cover import SpanningTree, SubgraphCover, _root_free_nodes, direct_tree
+from .errors import IllDefinedTask, InvalidInstance
 from .exactmp import _check_inputs, centralized_solve, local_solve, run_message_passing
 from .quadform import QuadFunc, quad_sum
 
@@ -60,6 +65,17 @@ class TaskSpec:
         return 1 if self.kind == "objective_value" else self.L.shape[0]
 
 
+def _check_linear_task(L: np.ndarray, d: np.ndarray, n: int) -> None:
+    """A linear task's rules on a graph of n nodes: L is a matrix with one
+    column per node, and every entry of L and d is finite."""
+    if L.ndim != 2 or L.shape[1] != n:
+        raise InvalidInstance(f"task matrix has shape {L.shape}, expected (*, {n})")
+    for name, values in (("matrix", L), ("offset", d)):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise InvalidInstance(f"task {name} entry {tuple(bad[0].tolist())} is not finite")
+
+
 def linear_task(L, d=None) -> TaskSpec:
     return TaskSpec(kind="linear", L=L, d=d)
 
@@ -95,6 +111,12 @@ def task_welldefined(
     """
     if task.kind == "objective_value":
         return True, None
+    _check_linear_task(task.L, task.d, cover.graph.n)
+    return _kernel_verdict(cover, quads, task)
+
+
+def _kernel_verdict(cover, quads, task) -> tuple[bool, np.ndarray | None]:
+    """`task_welldefined` of a checked linear task."""
     # The kernel of the constrained problem does not depend on s; it is
     # embedded over V with zero rows at the observable nodes.
     _, _, kernel = centralized_solve(cover, quads, {v: 0.0 for v in cover.s_order})
@@ -123,10 +145,23 @@ def global_problem_map(
     if task.kind != "linear":
         raise ValueError("the objective task's global problem is quadratic in s; "
                          "no affine map exists")
+    return _global_map(cover, quads, task, _checked_sum(cover, quads, task))
+
+
+def _checked_sum(cover, quads, task) -> QuadFunc:
+    """The objective over the graph's nodes, once the linear task and the
+    quadratics have passed their entry checks."""
+    _check_linear_task(task.L, task.d, cover.graph.n)
     _check_inputs(cover, quads)
+    return quad_sum(quads, cover.graph.nodes)
+
+
+def _global_map(cover, quads, task, total: QuadFunc) -> GlobalProblemMap:
+    """`global_problem_map` of a checked linear task and checked quadratics
+    whose sum over the graph's nodes is `total`."""
     free = set(cover.graph.nodes) - cover.observable_set
-    _, amap = quad_sum(quads, cover.graph.nodes).partial_minimize(free)
-    if amap.singular and not task_welldefined(cover, quads, task)[0]:
+    _, amap = total.partial_minimize(free)
+    if amap.singular and not _kernel_verdict(cover, quads, task)[0]:
         raise IllDefinedTask("task is not constant on the minimizer set")
     # amap.inputs are the observable nodes in node order, i.e. s_order.
     L_free = task.L[:, list(amap.eliminated)]
@@ -153,12 +188,18 @@ def jet_profile(
     The leaf's split is read off the cover, on which alone it depends (see
     `compute_partitions`): the message keeps V_i's nodes that lie in another
     subgraph and eliminates its other unobserved nodes.  This is why the
-    insolubility flag is tree-independent.
+    insolubility flag is tree-independent, and `dtree` serves only to check
+    that `leaf` is a non-root leaf.
     """
     if dtree.children[leaf]:
         raise ValueError(f"node {leaf} is not a leaf of the directed tree")
     if leaf == dtree.root:
         raise ValueError("the root sends no message; pick a non-root leaf")
+    return _leaf_profile(cover, quads, leaf)
+
+
+def _leaf_profile(cover, quads, leaf: int) -> JetProfile:
+    """`jet_profile` of a subgraph that is a non-root leaf of the tree."""
     y_vars = [v for v in cover.subgraphs[leaf]
               if len(cover.subgraphs_containing(v)) == 1 and v not in cover.observable_set]
     q = quads[leaf]
@@ -217,10 +258,12 @@ def insolubility_check(
 
     Flags when |S_i| - b_alpha > |S| - dim(M).  A true flag is
     tree-independent: insolubility then holds along every spanning tree.
-    The genericity (submersion) hypotheses are assumed, not verified.
+    The genericity (submersion) hypotheses are assumed, not verified.  The
+    leaf's jet profile is read off the cover once `leaf` is known to have
+    one tree neighbour; no directed tree is built.
     """
-    dtree = direct_tree(stree, _leaf_neighbour(stree, leaf))
-    profile = jet_profile(cover, quads, dtree, leaf)
+    _leaf_neighbour(stree, leaf)
+    profile = _leaf_profile(cover, quads, leaf)
     ba = b_alpha(profile)
     s_i = len(cover.observables[leaf])
     s_total = len(cover.s_order)
@@ -246,16 +289,18 @@ def insolubility_check(
     return flag, report
 
 
-def _local_affine_map(cover, quads, dtree):
+def _local_affine_map(cover, total: QuadFunc, dtree):
     """Rows of s -> (yhat_root(s), s_root, 1) as [linear part | offset].
 
-    By exactness the aggregated message is the assembled objective
-    minimized over the union of the tree's y-sets.  Minimizing that over
-    the remaining unobserved variables gives the root's minimum-norm
-    argmin yhat_root(s) = M s + m in closed form, with no engine run.
+    By exactness the aggregated message is the assembled objective `total`
+    minimized over the union of the tree's y-sets: the unobserved nodes
+    outside `cover._root_free_nodes`, which finds them without computing
+    any edge's partition.  Minimizing that over the remaining unobserved
+    variables gives the root's minimum-norm argmin yhat_root(s) = M s + m
+    in closed form, with no engine run.
     """
-    elim = set().union(*(p.y_vars for p in compute_partitions(cover, dtree).values()))
-    agg, _ = quad_sum(quads, cover.graph.nodes).partial_minimize(elim)
+    elim = set(total.vars) - cover.observable_set - _root_free_nodes(cover, dtree)
+    agg, _ = total.partial_minimize(elim)
     _, amap = agg.partial_minimize(set(agg.vars) - cover.observable_set)
     # amap.inputs are the observable nodes in node order, i.e. s_order.
     ns = len(cover.s_order)
@@ -287,8 +332,10 @@ def direct_solubility_test(
     """Can the global problem be read off the root's local argmin?
 
     Linear tasks: true iff the rows of the global problem map lie in the
-    affine row space of s -> (yhat_root(s), s_root).  The objective task is
-    checked by value equality between the aggregated and centralized minima.
+    affine row space of s -> (yhat_root(s), s_root).  Both maps are read off
+    one assembly of the objective over the graph's nodes.  The objective
+    task is checked by value equality between the aggregated and
+    centralized minima.
     """
     dtree = direct_tree(stree, root)
     if task.kind == "objective_value":
@@ -302,8 +349,9 @@ def direct_solubility_test(
             if abs(local_val - central_val) > 1e-8 * max(1.0, abs(central_val)):
                 return False
         return True
-    gpm = global_problem_map(cover, quads, task)
-    M = _local_affine_map(cover, quads, dtree)
+    total = _checked_sum(cover, quads, task)
+    gpm = _global_map(cover, quads, task, total)
+    M = _local_affine_map(cover, total, dtree)
     phi = np.concatenate([gpm.matrix, gpm.offset[:, None]], axis=1)
     return _num_rank(np.concatenate([M, phi], axis=0)) == _num_rank(M)
 

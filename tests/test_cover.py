@@ -8,13 +8,21 @@ is carried along as a z-variable and eliminated one hop later.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervemp.bench import fixture_eg32, fixture_triangle, gen_random_cover
+from nervemp.bench import (
+    DEFAULT_STATS_ROWS,
+    cover_from_stats,
+    fixture_eg32,
+    fixture_triangle,
+    gen_random_cover,
+    random_nerve_for_stats,
+)
 from nervemp.cover import (
     EdgePartition,
     Graph,
     NerveSkeleton,
     SpanningTree,
     SubgraphCover,
+    _root_free_nodes,
     build_nerve,
     compute_partitions,
     direct_tree,
@@ -354,3 +362,36 @@ class TestPartitions:
                     y_vars=tuple(sorted(y)),
                     z_vars=tuple(sorted(z)),
                 )
+
+
+def _property_cover(kind, seed, t, extra_edge_prob):
+    if kind == "eg32":
+        return fixture_eg32().cover
+    if kind == "triangle":
+        return fixture_triangle().cover
+    if kind == "stats":
+        nerve = random_nerve_for_stats(DEFAULT_STATS_ROWS, seed)
+        return cover_from_stats(DEFAULT_STATS_ROWS, nerve, seed=seed)
+    return gen_random_cover(t, seed, extra_edge_prob=extra_edge_prob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "stats", "eg32", "triangle"]),
+    t=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**16),
+    extra_edge_prob=st.floats(min_value=0.0, max_value=1.0),
+    strategy=st.sampled_from(["bfs", "random", "max_overlap"]),
+)
+def test_root_free_nodes_are_the_free_nodes_no_partition_eliminates(
+    kind, t, seed, extra_edge_prob, strategy
+):
+    """The root-only rule names exactly the unobserved nodes outside every
+    edge's y-set, on every tree and root."""
+    cover = _property_cover(kind, seed, t, extra_edge_prob)
+    stree = spanning_tree(build_nerve(cover), strategy, cover, seed=seed)
+    free = set(cover.graph.nodes) - cover.observable_set
+    for root in range(cover.t):
+        dt = direct_tree(stree, root)
+        eliminated = set().union(*(p.y_vars for p in compute_partitions(cover, dt).values()))
+        assert _root_free_nodes(cover, dt) == free - eliminated

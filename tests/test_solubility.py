@@ -7,13 +7,18 @@ Core claims verified here:
     - the jet rank of an identically-zero message family is 0, giving the
       pinned b_alpha = -2 and the insolubility inequality 4 > 3;
     - the objective task is always solvable locally, and tasks supported on
-      root variables pass the direct row-space test.
+      root variables pass the direct row-space test;
+    - the direct test's verdict matches a reference that takes the root's
+      variables from every edge's partition;
+    - a linear task of the wrong width or with a non-finite entry raises the
+      loader's InvalidInstance at every entry point.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nervemp import cover as cover_module
 from nervemp import solubility
 from nervemp.bench import (
     fixture_eg32,
@@ -30,9 +35,9 @@ from nervemp.cover import (
     direct_tree,
     spanning_tree,
 )
-from nervemp.errors import IllDefinedTask
+from nervemp.errors import IllDefinedTask, InvalidInstance
 from nervemp.exactmp import centralized_solve, regularize
-from nervemp.quadform import QuadFunc
+from nervemp.quadform import QuadFunc, quad_sum
 from nervemp.solubility import (
     analysis_record,
     b_alpha,
@@ -404,27 +409,139 @@ class TestDirectSolubilityTest:
             direct_solubility_test(inst.cover, inst.quads, linear_task(L), 1, stree)
 
 
-def test_analysis_record_computes_partitions_once(monkeypatch):
-    """On a linear task, one analysis record computes one tree's partitions
-    (for the direct test); the jet profile reads the leaf's split off the
-    cover."""
+def test_analysis_record_assembles_once_and_computes_no_partitions(monkeypatch):
+    """On a linear task, one analysis record checks the task once, assembles
+    the objective over the graph's nodes once and computes no tree's
+    partitions: the jet profile reads the leaf's split off the cover, and the
+    direct test reads the root's variables off the root-only rule."""
     cover = gen_random_cover(8, 5, extra_edge_prob=0.25)
     quads = regularize(gen_random_quads(cover, 6), 1e-2, 7)
     task = linear_task(np.random.default_rng(8).standard_normal((2, cover.graph.n)))
     stree = spanning_tree(build_nerve(cover), "bfs", cover)
     calls = []
 
-    def counted(*args, _fn=solubility.compute_partitions, **kwargs):
-        calls.append(args)
-        return _fn(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(solubility, "compute_partitions", counted)
+    assert not hasattr(solubility, "compute_partitions")
+    monkeypatch.setattr(cover_module, "compute_partitions",
+                        counted("partitions", cover_module.compute_partitions))
+    monkeypatch.setattr(solubility, "quad_sum", counted("quad_sum", solubility.quad_sum))
+    monkeypatch.setattr(solubility, "_check_linear_task",
+                        counted("task", solubility._check_linear_task))
     leaves = [i for i in stree.nodes if sum(i in e for e in stree.edges) == 1]
     assert leaves
     for leaf in leaves:
         calls.clear()
         analysis_record(cover, quads, task, stree, leaf)
-        assert len(calls) == 1
+        assert [name for name, _ in calls] == ["task", "quad_sum"]
+        assert calls[1][1][1] == cover.graph.nodes
+
+
+def _malformed_task_case():
+    cover = gen_random_cover(8, 5, extra_edge_prob=0.25)
+    quads = regularize(gen_random_quads(cover, 6), 1e-2, 7)
+    stree = spanning_tree(build_nerve(cover), "bfs", cover)
+    leaf = next(i for i in stree.nodes if sum(i in e for e in stree.edges) == 1)
+    return cover, quads, stree, leaf
+
+
+# Every solubility entry point that indexes a linear task's L by node.
+_ENTRY_POINTS = {
+    "analysis_record": lambda c, q, task, tree, leaf: analysis_record(c, q, task, tree, leaf),
+    "direct_solubility_test": lambda c, q, task, tree, leaf: direct_solubility_test(
+        c, q, task, 0, tree),
+    "global_problem_map": lambda c, q, task, tree, leaf: global_problem_map(c, q, task),
+    "task_welldefined": lambda c, q, task, tree, leaf: task_welldefined(c, q, task),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("width", [41, 45])
+def test_task_of_the_wrong_width_is_rejected(entry, width):
+    """A task whose L has more or fewer columns than the graph has nodes
+    raises the loader's InvalidInstance: no column is dropped, and no index
+    runs past L."""
+    cover, quads, stree, leaf = _malformed_task_case()
+    assert cover.graph.n == 42
+    task = linear_task(np.random.default_rng(8).standard_normal((2, width)))
+    with pytest.raises(InvalidInstance,
+                       match=rf"task matrix has shape \(2, {width}\), expected \(\*, 42\)"):
+        _ENTRY_POINTS[entry](cover, quads, task, stree, leaf)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("where", ["matrix", "offset"])
+def test_non_finite_task_entry_is_rejected(entry, where):
+    """A NaN in L or an infinite entry of d raises the loader's
+    InvalidInstance naming the entry, not numpy's LinAlgError or a map with
+    non-finite entries."""
+    cover, quads, stree, leaf = _malformed_task_case()
+    L = np.random.default_rng(8).standard_normal((2, cover.graph.n))
+    d = np.zeros(2)
+    if where == "matrix":
+        L[1, 3] = np.nan
+        message = r"task matrix entry \(1, 3\) is not finite"
+    else:
+        d[0] = np.inf
+        message = r"task offset entry \(0,\) is not finite"
+    with pytest.raises(InvalidInstance, match=message):
+        _ENTRY_POINTS[entry](cover, quads, linear_task(L, d), stree, leaf)
+
+
+def _reference_rank(X):
+    if X.size == 0:
+        return 0
+    sv = np.linalg.svd(X, compute_uv=False)
+    return int(np.sum(sv > 1e-8 * sv[0]))
+
+
+def _reference_direct_verdict(cover, quads, task, dtree):
+    """The linear direct test as its first closed form computed it: the
+    global problem map and the root's affine map each from their own
+    assembly, and the eliminated set from every edge's partition."""
+    free = set(cover.graph.nodes) - cover.observable_set
+    _, amap = quad_sum(quads, cover.graph.nodes).partial_minimize(free)
+    L_free = task.L[:, list(amap.eliminated)]
+    phi = np.concatenate([task.L[:, list(amap.inputs)] + L_free @ amap.M,
+                          (L_free @ amap.m + task.d)[:, None]], axis=1)
+    elim = set().union(*(p.y_vars for p in compute_partitions(cover, dtree).values()))
+    agg, _ = quad_sum(quads, cover.graph.nodes).partial_minimize(elim)
+    _, rmap = agg.partial_minimize(set(agg.vars) - cover.observable_set)
+    select = np.eye(len(cover.s_order) + 1)
+    root_rows = [cover.s_order.index(v) for v in cover.observables[dtree.root]]
+    M = np.concatenate([np.concatenate([rmap.M, rmap.m[:, None]], axis=1),
+                        select[root_rows], select[-1:]])
+    return _reference_rank(np.concatenate([M, phi])) == _reference_rank(M)
+
+
+def test_direct_verdict_matches_the_partition_based_reference():
+    """On regularized random instances, every tree and root, the direct test
+    agrees with the reference on tasks supported on the root's subgraph
+    (soluble) and on dense tasks (mostly not)."""
+    verdicts = set()
+    for seed in range(12):
+        t = 2 + seed % 6
+        cover = gen_random_cover(t, 1500 + seed, extra_edge_prob=(seed % 4) / 3)
+        quads = regularize(gen_random_quads(cover, seed), 1e-2, seed)
+        rng = np.random.default_rng(seed)
+        for strategy in ("bfs", "random", "max_overlap"):
+            stree = spanning_tree(build_nerve(cover), strategy, cover, seed=seed)
+            for root in range(t):
+                dense = rng.standard_normal((2, cover.graph.n))
+                on_root = np.zeros_like(dense)
+                nodes = list(cover.subgraphs[root])
+                on_root[:, nodes] = rng.standard_normal((2, len(nodes)))
+                for L in (on_root, dense):
+                    task = linear_task(L, rng.standard_normal(2))
+                    verdict = direct_solubility_test(cover, quads, task, root, stree)
+                    assert verdict == _reference_direct_verdict(
+                        cover, quads, task, direct_tree(stree, root))
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_oracle_runs_only_for_a_singular_global_block(monkeypatch):
